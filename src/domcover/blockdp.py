@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .graph import Graph, blocks_and_cut_vertices, is_block_graph
+from .graph import Graph, blocks_and_cut_vertices, blocks_are_cliques
 from .treedp import CoverSolution
 
 _INF = 1 << 40
@@ -58,9 +58,9 @@ class CutTree:
 
 def build_cut_tree(g: Graph) -> CutTree:
     """Cut-tree of a connected block graph, rooted at the first block."""
-    if not is_block_graph(g):
-        raise DomainError("not a block graph: some block is not a clique")
     blocks, cuts = blocks_and_cut_vertices(g)
+    if not blocks_are_cliques(g, blocks):
+        raise DomainError("not a block graph: some block is not a clique")
     cutset = set(cuts)
     noncut = tuple(tuple(v for v in block if v not in cutset) for block in blocks)
     return CutTree(g, blocks, cuts, noncut, 0)
@@ -75,7 +75,12 @@ def solve_block_graph(g: Graph, objective: str) -> CoverSolution:
     """
     if objective not in ("min", "max"):
         raise DomainError(f"objective must be 'min' or 'max', got {objective!r}")
-    tree = build_cut_tree(g)
+    return _solve_cut_tree(build_cut_tree(g), objective)
+
+
+def _solve_cut_tree(tree: CutTree, objective: str) -> CoverSolution:
+    """solve_block_graph's DP on a cut-tree that is already built."""
+    g = tree.graph
     sign = 1 if objective == "min" else -1
     n = g.n
     adj = g.adjacency
@@ -294,6 +299,7 @@ def block_cover_extrema(g: Graph):
     """Both objectives in one report (see oracle.DominationReport)."""
     from .oracle import DominationReport
 
-    lo = solve_block_graph(g, "min")
-    hi = solve_block_graph(g, "max")
+    tree = build_cut_tree(g)
+    lo = _solve_cut_tree(tree, "min")
+    hi = _solve_cut_tree(tree, "max")
     return DominationReport("plain", lo.size, lo.cover, hi.cover, lo.witness, hi.witness)

@@ -166,7 +166,8 @@ def _run_command(args: argparse.Namespace) -> tuple[dict, dict, str | None]:
         gamma = len(sets[0]) if sets else 0
         return desc, {"gamma": gamma, "count": len(sets), "gamma_sets": list(sets)}, None
     # gen
-    return desc, {"edge_list": write_graph(g)}, write_graph(g)
+    text = write_graph(g)
+    return desc, {"edge_list": text}, text
 
 
 def _flatten(obj, prefix: str, lines: list[str]) -> None:

@@ -17,7 +17,7 @@ from itertools import combinations
 
 from . import oracle
 from .errors import DomainError
-from .graph import Graph, is_connected, is_p4_free
+from .graph import Graph, first_unreachable, is_p4_free
 
 
 def path(n: int) -> Graph:
@@ -246,16 +246,8 @@ def audit_bounds(g: Graph) -> BoundAudit:
       * the path bracket by n mod 3 when the graph is a path.
     Every check lands in the report; nothing raises on a violation.
     """
-    if not is_connected(g):
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            v = frontier.pop()
-            for u in g.adjacency[v]:
-                if u not in seen:
-                    seen.add(u)
-                    frontier.append(u)
-        w = next(v for v in range(g.n) if v not in seen)
+    w = first_unreachable(g)
+    if w is not None:
         raise DomainError(f"graph is disconnected: vertex {w} is not reachable from 0")
     rep = oracle.cover_extrema(g)
     count = len(oracle.enumerate_gamma_sets(g))

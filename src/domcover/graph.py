@@ -8,6 +8,7 @@ tuples, so witnesses compare lexicographically and serialize stably.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .errors import DomainError, GraphParseError
@@ -17,8 +18,9 @@ class Graph:
     """Immutable simple undirected graph.
 
     Construction validates everything once: ids in range, no self-loops, no
-    duplicate edges.  Adjacency lists are kept sorted ascending so iteration
-    order is deterministic everywhere downstream.
+    duplicate edges.  Edges may come from any iterable, and an error names
+    the first bad edge in input order.  Adjacency lists are kept sorted
+    ascending so iteration order is deterministic everywhere downstream.
     """
 
     __slots__ = ("n", "_m", "_adj", "_closed", "_open")
@@ -26,22 +28,23 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise DomainError("vertex count must be non-negative")
+        if not isinstance(edges, (list, tuple)):
+            edges = list(edges)
         adj: list[list[int]] = [[] for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise DomainError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise DomainError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise DomainError(f"duplicate edge ({key[0]}, {key[1]})")
-            seen.add(key)
+            if not (0 <= u < n and 0 <= v < n) or u == v:
+                raise DomainError(_first_rejected_edge(n, edges)[1])
             adj[u].append(v)
             adj[v].append(u)
+        for row in adj:
+            # A repeated edge shows up as a repeated neighbour.
+            if len(row) > 1:
+                row.sort()
+                if len(set(row)) != len(row):
+                    raise DomainError(_first_rejected_edge(n, edges)[1])
         self.n = n
-        self._m = len(seen)
-        self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
+        self._m = len(edges)
+        self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
         self._closed: list[int] | None = None
         self._open: list[int] | None = None
 
@@ -113,6 +116,27 @@ class Graph:
         return f"Graph(n={self.n}, m={self._m})"
 
 
+def _first_rejected_edge(n: int, edges: list[tuple[int, int]]) -> tuple[int, str] | None:
+    """Position and message of the first edge, in input order, that Graph
+    rejects: out of range, a self-loop, or a repeat of an earlier edge in
+    either orientation.  None when every edge is valid.
+
+    Graph's own pass only detects that some edge is bad; this rescan, run
+    on the error path alone, names the one an edge-by-edge check meets first.
+    """
+    seen: set[tuple[int, int]] = set()
+    for i, (u, v) in enumerate(edges):
+        if not (0 <= u < n and 0 <= v < n):
+            return i, f"edge ({u}, {v}) out of range for n={n}"
+        if u == v:
+            return i, f"self-loop at vertex {u}"
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            return i, f"duplicate edge ({key[0]}, {key[1]})"
+        seen.add(key)
+    return None
+
+
 def _bits(vertices: Iterable[int]) -> int:
     mask = 0
     for v in vertices:
@@ -138,51 +162,66 @@ def parse_graph(text: str) -> Graph:
 
     The first non-comment line is the header "n m"; exactly m lines "u v"
     follow.  Lines starting with "#" are comments and blank lines are
-    skipped.  All ids are decimal.  Malformed lines, out-of-range ids,
-    self-loops, duplicate edges (in either orientation), and missing or
-    surplus edge lines raise GraphParseError naming the 1-based line number.
+    skipped.  All ids are decimal.  This pass checks only the line syntax:
+    the header, two integer fields per line and the number of edge lines.
+    Graph validates the edges themselves (ids in range, no self-loops, no
+    duplicates in either orientation), and the parser names the line of the
+    edge it rejects.  Every error is a GraphParseError naming the 1-based
+    line number, and the first bad line wins whatever the kind of error.
     """
-    header: tuple[int, int] | None = None
+    lines = text.splitlines()
+    n = m = -1  # until the header is read
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    last_line = 0
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        last_line = lineno
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for lineno, raw in enumerate(lines, 1):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
         if len(parts) != 2:
-            raise GraphParseError(f"line {lineno}: expected two fields, got {len(parts)}")
+            raise _edge_error(lines, n, edges) or GraphParseError(
+                f"line {lineno}: expected two fields, got {len(parts)}"
+            )
         try:
-            a, b = int(parts[0]), int(parts[1])
+            edge = (int(parts[0]), int(parts[1]))
         except ValueError:
-            raise GraphParseError(f"line {lineno}: non-integer field") from None
-        if header is None:
-            if a < 0 or b < 0:
+            raise _edge_error(lines, n, edges) or GraphParseError(
+                f"line {lineno}: non-integer field"
+            ) from None
+        if m < 0:
+            if edge[0] < 0 or edge[1] < 0:
                 raise GraphParseError(f"line {lineno}: negative count in header")
-            header = (a, b)
-            continue
-        n, m = header
-        if len(edges) >= m:
-            raise GraphParseError(f"line {lineno}: more than {m} edge lines")
-        if not (0 <= a < n and 0 <= b < n):
-            bad = a if not (0 <= a < n) else b
-            raise GraphParseError(f"line {lineno}: vertex id {bad} out of range for n={n}")
-        if a == b:
-            raise GraphParseError(f"line {lineno}: self-loop at vertex {a}")
-        key = (a, b) if a < b else (b, a)
-        if key in seen:
-            raise GraphParseError(f"line {lineno}: duplicate edge ({key[0]}, {key[1]})")
-        seen.add(key)
-        edges.append((a, b))
-    if header is None:
+            n, m = edge
+        elif len(edges) == m:
+            raise _edge_error(lines, n, edges) or GraphParseError(
+                f"line {lineno}: more than {m} edge lines"
+            )
+        else:
+            edges.append(edge)
+    if m < 0:
         raise GraphParseError("line 1: missing header")
-    if len(edges) != header[1]:
-        raise GraphParseError(
-            f"line {last_line}: expected {header[1]} edge lines, found {len(edges)}"
+    if len(edges) != m:
+        raise _edge_error(lines, n, edges) or GraphParseError(
+            f"line {len(lines)}: expected {m} edge lines, found {len(edges)}"
         )
-    return Graph(header[0], edges)
+    try:
+        return Graph(n, edges)
+    except DomainError:
+        raise _edge_error(lines, n, edges) from None
+
+
+def _edge_error(lines: list[str], n: int, edges: list[tuple[int, int]]) -> GraphParseError | None:
+    """The parse error for the first edge Graph rejects, on that edge's line;
+    None when Graph accepts every edge parsed so far."""
+    rejected = _first_rejected_edge(n, edges)
+    if rejected is None:
+        return None
+    index, reason = rejected
+    a, b = edges[index]
+    if not (0 <= a < n and 0 <= b < n):
+        reason = f"vertex id {a if not 0 <= a < n else b} out of range for n={n}"
+    # The header is the first non-blank, non-comment line; edge i is the
+    # (i + 1)-th after it.
+    content = (k for k, raw in enumerate(lines, 1) if (parts := raw.split()) and parts[0][0] != "#")
+    return GraphParseError(f"line {next(islice(content, index + 1, None))}: {reason}")
 
 
 def write_graph(g: Graph) -> str:
@@ -266,23 +305,27 @@ def private_neighbors(g: Graph, v: int, d: Iterable[int]) -> tuple[int, ...]:
     return tuple(u for u in sorted((v, *adj[v])) if not taken[u])
 
 
-def is_connected(g: Graph) -> bool:
-    """True iff the graph has one component (the empty graph counts as connected)."""
-    if g.n <= 1:
-        return True
+def first_unreachable(g: Graph) -> int | None:
+    """Smallest vertex that cannot be reached from vertex 0, or None if none."""
+    if g.n == 0:
+        return None
     adj = g._adj
     seen = bytearray(g.n)
     seen[0] = 1
     frontier = [0]
-    count = 1
     while frontier:
         v = frontier.pop()
         for u in adj[v]:
             if not seen[u]:
                 seen[u] = 1
-                count += 1
                 frontier.append(u)
-    return count == g.n
+    w = seen.find(0)
+    return None if w < 0 else w
+
+
+def is_connected(g: Graph) -> bool:
+    """True iff the graph has one component (the empty graph counts as connected)."""
+    return first_unreachable(g) is None
 
 
 # ---------------------------------------------------------------------------
@@ -358,16 +401,18 @@ def blocks_and_cut_vertices(g: Graph) -> tuple[tuple[tuple[int, ...], ...], tupl
 
 
 def is_block_graph(g: Graph) -> bool:
-    """True iff every block of the (connected) graph induces a clique."""
-    blocks, _ = blocks_and_cut_vertices(g)
-    edge_set = {(u, v) for u, v in g.edges()}
-    for block in blocks:
-        k = len(block)
-        for i in range(k):
-            for j in range(i + 1, k):
-                if (block[i], block[j]) not in edge_set:
-                    return False
-    return True
+    """True iff every block of the (connected) graph induces a clique.
+
+    The blocks partition the edges, and a block on k vertices holds at most
+    C(k, 2) of them, so the sum of C(k, 2) over the blocks is at least m and
+    equals m exactly when every block is a clique.
+    """
+    return blocks_are_cliques(g, blocks_and_cut_vertices(g)[0])
+
+
+def blocks_are_cliques(g: Graph, blocks: tuple[tuple[int, ...], ...]) -> bool:
+    """The edge-count test of is_block_graph on blocks already computed."""
+    return sum(len(b) * (len(b) - 1) // 2 for b in blocks) == g.m
 
 
 def is_p4_free(g: Graph) -> bool:

@@ -97,6 +97,13 @@ class TestWitnesses:
         ref = cover_extrema(g)
         assert (mine.size, mine.cover_min, mine.cover_max) == (ref.size, ref.cover_min, ref.cover_max)
 
+    def test_extrema_report_matches_single_objective_solves(self):
+        for g in corpus.random_block_graphs(150, 13) + corpus.glued_cliques():
+            mine = block_cover_extrema(g)
+            lo, hi = solve_block_graph(g, "min"), solve_block_graph(g, "max")
+            assert (mine.size, mine.cover_min, mine.cover_max) == (lo.size, lo.cover, hi.cover)
+            assert (mine.witness_min, mine.witness_max) == (lo.witness, hi.witness)
+
 
 class TestScale:
     def test_long_clique_chain(self):

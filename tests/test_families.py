@@ -133,6 +133,10 @@ class TestAuditBounds:
     def test_rejects_disconnected(self):
         with pytest.raises(DomainError, match="disconnected"):
             audit_bounds(Graph(4, ((0, 1), (2, 3))))
+        with pytest.raises(
+            DomainError, match=r"^graph is disconnected: vertex 2 is not reachable from 0$"
+        ):
+            audit_bounds(Graph(5, ((0, 1), (3, 4), (0, 3))))
 
     def test_every_check_reports_both_sides_when_applicable(self, corpus7):
         for g in corpus7[:200]:

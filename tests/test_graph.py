@@ -1,7 +1,10 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import corpus
 from domcover import (
     DomainError,
     Graph,
@@ -22,6 +25,7 @@ from domcover import (
     star,
     write_graph,
 )
+from domcover.graph import first_unreachable
 
 
 def graphs(max_n=8):
@@ -55,6 +59,22 @@ class TestConstruction:
         with pytest.raises(DomainError):
             Graph(-1, ())
 
+    def test_rejection_names_the_first_bad_edge_in_input_order(self):
+        with pytest.raises(DomainError, match=r"^duplicate edge \(2, 3\)$"):
+            Graph(4, [(0, 1), (2, 3), (3, 2), (1, 0)])
+        with pytest.raises(DomainError, match=r"^duplicate edge \(0, 1\)$"):
+            Graph(4, [(0, 1), (1, 0), (0, 5)])
+        with pytest.raises(DomainError, match=r"^edge \(0, 5\) out of range for n=4$"):
+            Graph(4, [(0, 1), (0, 5), (1, 0)])
+        with pytest.raises(DomainError, match=r"^self-loop at vertex 2$"):
+            Graph(4, [(0, 1), (2, 2), (1, 0)])
+
+    def test_accepts_any_iterable(self):
+        g = Graph(4, ((i, i + 1) for i in range(3)))
+        assert g == path(4) and g.m == 3
+        with pytest.raises(DomainError, match=r"^duplicate edge \(1, 2\)$"):
+            Graph(3, (e for e in ((1, 2), (0, 1), (2, 1))))
+
     def test_equality_ignores_edge_order(self):
         assert Graph(3, ((0, 1), (1, 2))) == Graph(3, ((2, 1), (0, 1)))
         assert hash(Graph(2, ())) == hash(Graph(2, ()))
@@ -87,6 +107,10 @@ class TestParse:
             ("3 2\n0 1\n1 0\n", "line 3: duplicate edge (0, 1)"),
             ("2 1\n0 1 2\n", "line 2: expected two fields"),
             ("2 1\n0 x\n", "line 2: non-integer"),
+            # the first bad line wins, whatever the kind of error
+            ("3 3\n0 1\n1 0\n0 x\n", "line 3: duplicate edge (0, 1)"),
+            ("3 1\n0 3\n0 1\n", "line 2: vertex id 3 out of range"),
+            ("3 2\n1 1\n0 1 2\n", "line 2: self-loop at vertex 1"),
         ],
     )
     def test_parse_errors_name_the_line(self, text, fragment):
@@ -169,6 +193,23 @@ class TestStructure:
     def test_is_connected(self):
         assert is_connected(path(5)) and is_connected(Graph(1, ()))
         assert not is_connected(Graph(3, ((0, 1),)))
+
+    def test_first_unreachable(self):
+        assert first_unreachable(Graph(0, ())) is None
+        assert first_unreachable(path(5)) is None
+        assert first_unreachable(Graph(5, ((0, 1), (3, 4), (1, 2)))) == 3
+
+    def test_is_block_graph_matches_pairwise_clique_check(self, corpus_all):
+        instances = corpus_all + corpus.random_block_graphs() + corpus.glued_cliques()
+        verdicts = [is_block_graph(g) for g in instances]
+        assert verdicts == [_blocks_are_cliques_pairwise(g) for g in instances]
+        assert any(verdicts) and not all(verdicts)
+
+
+def _blocks_are_cliques_pairwise(g):
+    """Reference for is_block_graph: look up every pair inside every block."""
+    blocks, _ = blocks_and_cut_vertices(g)
+    return all(g.has_edge(u, v) for block in blocks for u, v in combinations(block, 2))
 
 
 class TestProperties:
