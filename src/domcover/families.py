@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import Callable
 
 from . import oracle
 from .errors import DomainError
@@ -135,18 +136,19 @@ class FamilySpec:
     seed: int | None = None
 
 
-_FAMILIES: dict[str, tuple[tuple[str, ...], tuple[str, ...], bool]] = {
-    # name: (required params, optional params, takes a seed)
-    "path": (("n",), (), False),
-    "cycle": (("n",), (), False),
-    "star": (("leaves",), (), False),
-    "complete": (("n",), (), False),
-    "corona": (("p",), (), False),
-    "barbell": (("n",), (), False),
-    "book": (("m",), (), False),
-    "random_tree": (("n",), (), True),
-    "random_block_graph": (("n",), ("max_clique",), True),
-    "random_gnp": (("n", "num", "den"), (), True),
+_FAMILIES: dict[str, tuple[Callable[..., Graph], tuple[str, ...], tuple[str, ...], bool]] = {
+    # name: (builder, required params, optional params, takes a seed); every
+    # parameter and the seed are passed to the builder by keyword
+    "path": (path, ("n",), (), False),
+    "cycle": (cycle, ("n",), (), False),
+    "star": (star, ("leaves",), (), False),
+    "complete": (complete, ("n",), (), False),
+    "corona": (corona, ("p",), (), False),
+    "barbell": (barbell, ("n",), (), False),
+    "book": (book, ("m",), (), False),
+    "random_tree": (random_tree, ("n",), (), True),
+    "random_block_graph": (random_block_graph, ("n",), ("max_clique",), True),
+    "random_gnp": (random_gnp, ("n", "num", "den"), (), True),
 }
 
 
@@ -155,7 +157,7 @@ def generate(spec: FamilySpec) -> Graph:
     if spec.family not in _FAMILIES:
         known = ", ".join(sorted(_FAMILIES))
         raise DomainError(f"unknown family {spec.family!r} (known: {known})")
-    required, optional, seeded = _FAMILIES[spec.family]
+    builder, required, optional, seeded = _FAMILIES[spec.family]
     for key in required:
         if key not in spec.params:
             raise DomainError(f"family {spec.family!r} requires parameter {key!r}")
@@ -166,26 +168,9 @@ def generate(spec: FamilySpec) -> Graph:
         raise DomainError(f"family {spec.family!r} requires a seed")
     if not seeded and spec.seed is not None:
         raise DomainError(f"family {spec.family!r} takes no seed")
-    p = spec.params
-    if spec.family == "path":
-        return path(p["n"])
-    if spec.family == "cycle":
-        return cycle(p["n"])
-    if spec.family == "star":
-        return star(p["leaves"])
-    if spec.family == "complete":
-        return complete(p["n"])
-    if spec.family == "corona":
-        return corona(p["p"])
-    if spec.family == "barbell":
-        return barbell(p["n"])
-    if spec.family == "book":
-        return book(p["m"])
-    if spec.family == "random_tree":
-        return random_tree(p["n"], spec.seed)
-    if spec.family == "random_block_graph":
-        return random_block_graph(p["n"], spec.seed, p.get("max_clique", 4))
-    return random_gnp(p["n"], p["num"], p["den"], spec.seed)
+    if seeded:
+        return builder(**spec.params, seed=spec.seed)
+    return builder(**spec.params)
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +234,8 @@ def audit_bounds(g: Graph) -> BoundAudit:
     w = first_unreachable(g)
     if w is not None:
         raise DomainError(f"graph is disconnected: vertex {w} is not reachable from 0")
-    rep = oracle.cover_extrema(g)
-    count = len(oracle.enumerate_gamma_sets(g))
+    sets = oracle.enumerate_gamma_sets(g)
+    rep = oracle.extrema_report(g, "plain", len(sets[0]), sets)
     n = g.n
     half = (n + 1) // 2
     checks = [_check("cover_floor_order_minus_gamma", n - rep.size, rep.cover_min)]
@@ -278,7 +263,7 @@ def audit_bounds(g: Graph) -> BoundAudit:
         gamma=rep.size,
         cover_min=rep.cover_min,
         cover_max=rep.cover_max,
-        gamma_set_count=count,
-        unique_gamma_set=count == 1,
+        gamma_set_count=len(sets),
+        unique_gamma_set=len(sets) == 1,
         checks=tuple(checks),
     )

@@ -1,23 +1,26 @@
 """Exhaustive ground truth for domination invariants on small graphs.
 
-Everything here enumerates over vertex-subset bitmaps and is intentionally
-exponential; a hard cap keeps calls at desk scale.  Minimum sizes come from
-an increasing-cardinality branch search (branching on the lowest uncovered
-vertex over its possible dominators), full enumeration from a lexicographic
-combination scan, so ties always resolve to the lexicographically smallest
-witness.
+Everything here searches vertex-subset bitmaps and is intentionally
+exponential; a hard cap keeps calls at desk scale.  One branching search
+serves every query: it branches on the lowest uncovered vertex over its
+dominators in ascending order and bans each dominator once its branch is
+done, so every covering set comes out exactly once.  The domination numbers
+are the least budget at which it yields a set; enumeration, cover extrema
+and efficient domination stream over its sets at that budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterator
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, DomainError
 from .graph import Graph
 
 ORACLE_CAP = 26
+
+Cover = tuple[int, ...]  # a sorted vertex set
 
 
 @dataclass(frozen=True)
@@ -39,81 +42,91 @@ def _check(g: Graph) -> None:
         raise CapacityError(f"n={g.n} exceeds the exhaustive cap of {ORACLE_CAP}")
 
 
-def _min_cover_size(masks: list[int], dominators: list[tuple[int, ...]], n: int) -> int:
-    """Smallest k such that k of the given masks union to the full set.
+def _covering_sets(masks: list[int], dominators: Sequence, n: int, k: int) -> Iterator[Cover]:
+    """Sets of at most k indices whose masks union to the full n-bit set.
 
-    dominators[v] lists, ascending, the indices whose mask covers v.
+    dominators[v] lists, ascending, the indices whose mask covers v.  At the
+    least k that yields anything, this yields every covering k-set exactly
+    once, as a sorted tuple.
     """
     full = (1 << n) - 1
     maxcov = max(m.bit_count() for m in masks)
+    chosen: list[int] = []
 
-    def feasible(covered: int, budget: int) -> bool:
+    def search(covered: int, banned: int, budget: int) -> Iterator[Cover]:
         if covered == full:
-            return True
-        if budget == 0:
-            return False
+            yield tuple(sorted(chosen))
+            return
         remaining = full & ~covered
-        if remaining.bit_count() > budget * maxcov:
-            return False
+        if budget == 0 or remaining.bit_count() > budget * maxcov:
+            return
         v = (remaining & -remaining).bit_length() - 1
         for w in dominators[v]:
-            if feasible(covered | masks[w], budget - 1):
-                return True
-        return False
+            if banned >> w & 1:
+                continue
+            chosen.append(w)
+            yield from search(covered | masks[w], banned, budget - 1)
+            chosen.pop()
+            banned |= 1 << w
 
-    lower = -(-n // maxcov)
+    return search(0, 0, k)
+
+
+def _minimum_covers(masks: list[int], dominators: Sequence, n: int) -> tuple[int, Iterator[Cover]]:
+    """The least k with a covering k-set, and a stream of every such set."""
+    lower = -(-n // max(m.bit_count() for m in masks))
     for k in range(lower, n + 1):
-        if feasible(0, k):
-            return k
+        sets = _covering_sets(masks, dominators, n, k)
+        first = next(sets, None)
+        if first is not None:
+            return k, chain((first,), sets)
     raise AssertionError("full vertex set always dominates")
+
+
+def _plain(g: Graph) -> tuple[int, Iterator[Cover]]:
+    _check(g)
+    dominators = [tuple(sorted((v, *g.adjacency[v]))) for v in range(g.n)]
+    return _minimum_covers(g.closed_masks(), dominators, g.n)
+
+
+def _total(g: Graph) -> tuple[int, Iterator[Cover]]:
+    _check(g)
+    if g.has_isolated_vertex():
+        raise DomainError("total domination is undefined with isolated vertices")
+    return _minimum_covers(g.open_masks(), g.adjacency, g.n)
 
 
 def gamma(g: Graph) -> int:
     """Domination number, by increasing-cardinality exhaustive search."""
-    _check(g)
-    masks = g.closed_masks()
-    dominators = [tuple(sorted((v, *g.adjacency[v]))) for v in range(g.n)]
-    return _min_cover_size(masks, dominators, g.n)
+    return _plain(g)[0]
 
 
 def gamma_total(g: Graph) -> int:
     """Total domination number: every vertex needs a neighbor in the set."""
-    _check(g)
-    if g.has_isolated_vertex():
-        raise DomainError("total domination is undefined with isolated vertices")
-    masks = g.open_masks()
-    dominators = [g.adjacency[v] for v in range(g.n)]
-    return _min_cover_size(masks, dominators, g.n)
+    return _total(g)[0]
 
 
-def _iter_covering_sets(g: Graph, masks: list[int], k: int) -> Iterator[tuple[int, ...]]:
-    """All k-subsets whose masks union to V, in lexicographic order."""
-    full = (1 << g.n) - 1
-    for combo in combinations(range(g.n), k):
-        m = 0
-        for i in combo:
-            m |= masks[i]
-        if m == full:
-            yield combo
-
-
-def enumerate_gamma_sets(g: Graph) -> tuple[tuple[int, ...], ...]:
+def enumerate_gamma_sets(g: Graph) -> tuple[Cover, ...]:
     """Every minimum dominating set, lexicographically ordered."""
-    return tuple(_iter_covering_sets(g, g.closed_masks(), gamma(g)))
+    return tuple(sorted(_plain(g)[1]))
 
 
-def _extrema_report(g: Graph, masks: list[int], k: int, mode: str) -> DominationReport:
+def extrema_report(g: Graph, mode: str, size: int, sets: Iterable[Cover]) -> DominationReport:
+    """Min and max degree-sum cover over sorted vertex sets in any order.
+
+    Ties go to the lexicographically smallest attaining set.
+    """
     degs = g.degrees()
     cover_min = cover_max = -1
-    wit_min: tuple[int, ...] = ()
-    wit_max: tuple[int, ...] = ()
-    for combo in _iter_covering_sets(g, masks, k):
-        c = sum(degs[i] for i in combo)
-        if cover_min < 0 or c < cover_min:
-            cover_min, wit_min = c, combo
-        if c > cover_max:
-            cover_max, wit_max = c, combo
-    return DominationReport(mode, k, cover_min, cover_max, wit_min, wit_max)
+    wit_min: Cover = ()
+    wit_max: Cover = ()
+    for s in sets:
+        c = sum(degs[i] for i in s)
+        if cover_min < 0 or c < cover_min or (c == cover_min and s < wit_min):
+            cover_min, wit_min = c, s
+        if c > cover_max or (c == cover_max and s < wit_max):
+            cover_max, wit_max = c, s
+    return DominationReport(mode, size, cover_min, cover_max, wit_min, wit_max)
 
 
 def cover_extrema(g: Graph) -> DominationReport:
@@ -121,39 +134,21 @@ def cover_extrema(g: Graph) -> DominationReport:
 
     Ties go to the lexicographically smallest attaining set.
     """
-    return _extrema_report(g, g.closed_masks(), gamma(g), "plain")
+    return extrema_report(g, "plain", *_plain(g))
 
 
 def total_cover_extrema(g: Graph) -> DominationReport:
     """Min and max cover over all minimum total dominating sets."""
-    return _extrema_report(g, g.open_masks(), gamma_total(g), "total")
+    return extrema_report(g, "total", *_total(g))
 
 
 def has_efficient_dominating_set(g: Graph) -> tuple[int, ...] | None:
     """An efficient dominating set (closed neighborhoods partition V), or None.
 
-    Enumerates every such set by exact-cover search on the lowest uncovered
-    vertex and returns the lexicographically smallest.
+    Every efficient dominating set is a minimum one (Bange, Barkauskas &
+    Slater, 1988): this is the lexicographically smallest gamma-set whose
+    closed neighborhoods sum to n vertices, hence are disjoint.
     """
-    _check(g)
-    masks = g.closed_masks()
-    dominators = [tuple(sorted((v, *g.adjacency[v]))) for v in range(g.n)]
-    full = (1 << g.n) - 1
-    found: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-
-    def search(covered: int) -> None:
-        if covered == full:
-            found.append(tuple(sorted(chosen)))
-            return
-        v = ((full & ~covered) & -(full & ~covered)).bit_length() - 1
-        for w in dominators[v]:
-            mw = masks[w]
-            if mw & covered:
-                continue
-            chosen.append(w)
-            search(covered | mw)
-            chosen.pop()
-
-    search(0)
-    return min(found) if found else None
+    size, sets = _plain(g)
+    degs = g.degrees()
+    return min((s for s in sets if sum(degs[d] for d in s) + size == g.n), default=None)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .graph import Graph, is_connected
 from . import oracle
 
@@ -98,7 +98,7 @@ def _ingredients(g: Graph, h: Graph) -> dict[str, int]:
     cov_h = oracle.cover_extrema(h)
     h_degs = h.degrees()
     return {
-        "gamma_G": oracle.gamma(g),
+        "gamma_G": cov_g.size,
         "gamma_total_G": cov_tg.size,
         "gamma_H": cov_h.size,
         "cover_min_G": cov_g.cover_min,
@@ -113,10 +113,44 @@ def _ingredients(g: Graph, h: Graph) -> dict[str, int]:
     }
 
 
+def _dominating_vertex_min(g: Graph, ing: dict[str, int]) -> int:
+    """Exact minimum cover of G o H when H has a dominating vertex.
+
+    A minimum dominating set of G o H projects one-to-one onto a gamma-set D
+    of G.  A member of D with no neighbour in D sits on a universal vertex of
+    H to dominate its own layer; the others may sit on a minimum-degree one.
+    """
+    hn, degs, nbrs = ing["order_H"], g.degrees(), g.open_masks()
+
+    def value(d: tuple[int, ...]) -> int:
+        members = sum(1 << v for v in d)
+        iso = sum(1 for v in d if not nbrs[v] & members)
+        cov = sum(degs[v] for v in d)
+        return hn * cov + (hn - 1) * iso + ing["min_degree_H"] * (len(d) - iso)
+
+    return min(value(d) for d in oracle.enumerate_gamma_sets(g))
+
+
+def _closed_form(g: Graph, ing: dict[str, int], mode: str) -> ProductCoverResult:
+    hn = ing["order_H"]
+    if ing["gamma_H"] == 1:
+        if mode == "min":
+            value = _dominating_vertex_min(g, ing)
+        else:
+            value = ing["cover_max_G"] * hn + ing["gamma_G"] * (hn - 1)
+        return ProductCoverResult(mode, value, "gammaH_1", ing)
+    alpha = ing[f"total_cover_{mode}_G"] * hn + ing["gamma_total_G"] * ing[f"{mode}_degree_H"]
+    if ing["gamma_H"] > 2 or ing["gamma_total_G"] < 2 * ing["gamma_G"]:
+        return ProductCoverResult(mode, alpha, "total_case", ing)
+    beta = 2 * ing[f"cover_{mode}_G"] * hn + ing[f"cover_{mode}_H"]
+    pick = min if mode == "min" else max
+    return ProductCoverResult(mode, pick(alpha, beta), "mixed_case", ing, alpha, beta)
+
+
 def product_cover_extrema(g: Graph, h: Graph, mode: str) -> ProductCoverResult:
     """Closed-form cover extremum over minimum dominating sets of G o H.
 
-    Case selection: gamma(H) = 1 uses plain cover extrema of G; gamma(H) > 2,
+    Case selection: gamma(H) = 1 uses the gamma-sets of G; gamma(H) > 2,
     or gamma(H) = 2 with gamma_t(G) strictly below 2 * gamma(G), uses total
     cover extrema of G; the remaining boundary case takes the better of the
     two candidate forms (alpha from the total route, beta from doubling a
@@ -125,24 +159,7 @@ def product_cover_extrema(g: Graph, h: Graph, mode: str) -> ProductCoverResult:
     if mode not in ("min", "max"):
         raise DomainError(f"mode must be 'min' or 'max', got {mode!r}")
     _check_base(g, h)
-    ing = _ingredients(g, h)
-    hn = ing["order_H"]
-    if mode == "min":
-        cov_g, cov_tg, cov_h = ing["cover_min_G"], ing["total_cover_min_G"], ing["cover_min_H"]
-        deg_h = ing["min_degree_H"]
-        pick = min
-    else:
-        cov_g, cov_tg, cov_h = ing["cover_max_G"], ing["total_cover_max_G"], ing["cover_max_H"]
-        deg_h = ing["max_degree_H"]
-        pick = max
-    if ing["gamma_H"] == 1:
-        value = cov_g * hn + ing["gamma_G"] * (hn - 1)
-        return ProductCoverResult(mode, value, "gammaH_1", ing)
-    alpha = cov_tg * hn + ing["gamma_total_G"] * deg_h
-    if ing["gamma_H"] > 2 or ing["gamma_total_G"] < 2 * ing["gamma_G"]:
-        return ProductCoverResult(mode, alpha, "total_case", ing)
-    beta = 2 * cov_g * hn + cov_h
-    return ProductCoverResult(mode, pick(alpha, beta), "mixed_case", ing, alpha, beta)
+    return _closed_form(g, _ingredients(g, h), mode)
 
 
 @dataclass(frozen=True)
@@ -168,14 +185,14 @@ class ProductValidation:
 def validate_product_theorem(g: Graph, h: Graph) -> ProductValidation:
     """Build G o H, solve it exhaustively, and compare with the closed forms."""
     if g.n * h.n > oracle.ORACLE_CAP:
-        from .errors import CapacityError
-
         raise CapacityError(
             f"product order {g.n * h.n} exceeds the exhaustive cap of {oracle.ORACLE_CAP}"
         )
-    lo = product_cover_extrema(g, h, "min")
-    hi = product_cover_extrema(g, h, "max")
-    gamma_formula = gamma_lex_product(g, h)
+    _check_base(g, h)
+    ing = _ingredients(g, h)
+    lo = _closed_form(g, ing, "min")
+    hi = _closed_form(g, ing, "max")
+    gamma_formula = ing["gamma_G"] if ing["gamma_H"] == 1 else ing["gamma_total_G"]
     rep = oracle.cover_extrema(lex_product(g, h))
     return ProductValidation(
         case=lo.case,

@@ -2,10 +2,10 @@
 PASS or FAIL line (plus NOTE lines for non-fatal findings) directly to the
 terminal.  Everything is exact integer arithmetic; there are no tolerances.
 
-Criterion 10 is expected to fail: the closed form for the minimum product
-cover in the dominating-vertex case overestimates on (C4, P3).  The test
-states the requirement as written and reports the counterexample rather than
-papering over it.
+Criterion 10 checks the product closed forms against the oracle; any
+disagreement is reported as a NOTE line before the verdict.  The
+dominating-vertex minimum ranges over the gamma-sets of G, which is what
+makes (C4, P3) come out at 14.
 """
 
 import subprocess
@@ -271,6 +271,27 @@ def test_criterion_10_product_closed_forms(capsys):
              not gamma_bad and not case1_bad,
              detail=f"{pairs} pairs, gamma mismatches: {gamma_bad}, "
                     f"dominating-vertex case mismatches: {case1_bad}")
+
+
+def test_product_closed_forms_on_wider_grid(corpus7):
+    # Criterion 10's requirement on a wider grid: every connected G on 2..6
+    # vertices times ten choices of H, wherever |G o H| <= 20.
+    from domcover import validate_product_theorem
+
+    hs = [complete(1), complete(2), complete(3), complete(4), path(3), path(4),
+          cycle(4), star(3), Graph(2, ()), Graph(3, ())]
+    pairs = 0
+    bad = []
+    for g in corpus7:
+        for h in hs:
+            if g.n > 6 or g.n * h.n > 20:
+                continue
+            pairs += 1
+            v = validate_product_theorem(g, h)
+            if not v.agree:
+                bad.append((g.n, tuple(g.edges()), h.n, tuple(h.edges()), v))
+    assert pairs == 972
+    assert not bad, bad[:3]
 
 
 def test_criterion_11_doubled_total_domination_independence(capsys, corpus7):

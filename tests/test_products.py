@@ -109,14 +109,15 @@ class TestValidation:
         assert v.min_formula == v.min_oracle == 5
         assert v.max_formula == v.max_oracle == 5
 
-    def test_adjacent_members_make_min_formula_overshoot(self):
-        # C4 has a minimum dominating set of two adjacent vertices; placing
-        # both product picks on low-degree H vertices beats the closed form.
+    def test_adjacent_members_sit_on_low_degree_h_vertices(self):
+        # C4 has a minimum dominating set of two adjacent vertices; each
+        # dominates the other's layer, so both product picks may sit on
+        # low-degree H vertices, and the closed form takes that into account.
         v = validate_product_theorem(cycle(4), path(3))
         assert v.case == "gammaH_1"
         assert v.gamma_agree and v.max_agree
-        assert (v.min_formula, v.min_oracle) == (16, 14)
-        assert not v.min_agree and not v.agree
+        assert (v.min_formula, v.min_oracle) == (14, 14)
+        assert v.min_agree and v.agree
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
