@@ -3,7 +3,8 @@
 The quantity of interest is the cover number of a dominating set: the sum
 of the degrees of its members.  Everything here is exact integer work; the
 oracle enumerates, the tree and block solvers run linear-time dynamic
-programs, and the product module evaluates closed forms.
+programs, and the product module runs the oracle's search over projections
+onto the first factor.
 """
 
 from .blockdp import CutTree, block_cover_extrema, build_cut_tree, solve_block_graph

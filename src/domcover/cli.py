@@ -15,14 +15,14 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from . import oracle
 from .blockdp import solve_block_graph
 from .errors import CapacityError, DomainError
 from .families import FamilySpec, audit_bounds, generate
 from .graph import Graph, parse_graph, write_graph
-from .products import gamma_lex_product, product_cover_extrema, validate_product_theorem
+from .products import product_cover_extrema, validate_product_theorem
 from .treedp import root_tree, solve_tree
 
 _USAGE_EXIT = 64
@@ -122,10 +122,13 @@ def _load_graph(args: argparse.Namespace, suffix: str = "") -> tuple[Graph, dict
     return generate(spec), {"family": family, "params": params, "seed": seed}
 
 
-def _witness_filter(results: dict, include: bool) -> dict:
-    if include:
-        return results
-    return {k: v for k, v in results.items() if not k.startswith("witness")}
+def _witness_filter(result, include: bool) -> dict:
+    # shallow: asdict would deep-copy every member of a witness tuple
+    return {
+        f.name: getattr(result, f.name)
+        for f in fields(result)
+        if include or not f.name.startswith("witness")
+    }
 
 
 def _run_command(args: argparse.Namespace) -> tuple[dict, dict, str | None]:
@@ -136,11 +139,7 @@ def _run_command(args: argparse.Namespace) -> tuple[dict, dict, str | None]:
         h, desc_h = _load_graph(args, "H")
         desc = {"G": desc_g, "H": desc_h}
         if cmd == "product":
-            res = asdict(product_cover_extrema(g, h, args.objective))
-            if res["alpha"] is None:
-                del res["alpha"], res["beta"]
-            res["gamma"] = gamma_lex_product(g, h)
-            return desc, res, None
+            return desc, asdict(product_cover_extrema(g, h, args.objective)), None
         record = validate_product_theorem(g, h)
         res = asdict(record)
         res["agree"] = record.agree
@@ -150,15 +149,15 @@ def _run_command(args: argparse.Namespace) -> tuple[dict, dict, str | None]:
     if cmd == "gamma":
         return desc, {"gamma": oracle.gamma(g)}, None
     if cmd == "cover":
-        return desc, _witness_filter(asdict(oracle.cover_extrema(g)), args.witness), None
+        return desc, _witness_filter(oracle.cover_extrema(g), args.witness), None
     if cmd == "total":
-        return desc, _witness_filter(asdict(oracle.total_cover_extrema(g)), args.witness), None
+        return desc, _witness_filter(oracle.total_cover_extrema(g), args.witness), None
     if cmd == "tree":
         sol = solve_tree(root_tree(g, 0), args.objective)
-        return desc, _witness_filter(asdict(sol), args.witness), None
+        return desc, _witness_filter(sol, args.witness), None
     if cmd == "block":
         sol = solve_block_graph(g, args.objective)
-        return desc, _witness_filter(asdict(sol), args.witness), None
+        return desc, _witness_filter(sol, args.witness), None
     if cmd == "bounds":
         return desc, asdict(audit_bounds(g)), None
     if cmd == "enum":

@@ -4,9 +4,11 @@ Everything here searches vertex-subset bitmaps and is intentionally
 exponential; a hard cap keeps calls at desk scale.  One branching search
 serves every query: it branches on the lowest uncovered vertex over its
 dominators in ascending order and bans each dominator once its branch is
-done, so every covering set comes out exactly once.  The domination numbers
-are the least budget at which it yields a set; enumeration, cover extrema
-and efficient domination stream over its sets at that budget.
+done, so every covering set comes out exactly once.  Each mask has a cost
+(1 for every query here; the product module weighs its own tokens).  The
+domination numbers are the least budget at which it yields a set;
+enumeration, cover extrema and efficient domination stream over its sets at
+that budget.
 """
 
 from __future__ import annotations
@@ -42,58 +44,57 @@ def _check(g: Graph) -> None:
         raise CapacityError(f"n={g.n} exceeds the exhaustive cap of {ORACLE_CAP}")
 
 
-def _covering_sets(masks: list[int], dominators: Sequence, n: int, k: int) -> Iterator[Cover]:
-    """Sets of at most k indices whose masks union to the full n-bit set.
+def _covering_sets(
+    masks: list[int], costs: list[int], dominators: Sequence, n: int
+) -> tuple[int, Iterator[Cover]]:
+    """The least total cost of indices whose masks union to the full n-bit
+    set, and a stream of every index set of that cost, once each, sorted.
 
-    dominators[v] lists, ascending, the indices whose mask covers v.  At the
-    least k that yields anything, this yields every covering k-set exactly
-    once, as a sorted tuple.
+    Every cost is a positive integer.  dominators[v] lists, ascending, the
+    indices whose mask covers v.
     """
     full = (1 << n) - 1
-    maxcov = max(m.bit_count() for m in masks)
+    # no index covers more than num / den vertices per unit of its cost
+    num, den = max(((m.bit_count(), c) for m, c in zip(masks, costs)), key=lambda r: r[0] / r[1])
     chosen: list[int] = []
 
     def search(covered: int, banned: int, budget: int) -> Iterator[Cover]:
+        if budget < 0:  # the last index chosen cost more than was left
+            return
         if covered == full:
             yield tuple(sorted(chosen))
             return
         remaining = full & ~covered
-        if budget == 0 or remaining.bit_count() > budget * maxcov:
+        if remaining.bit_count() * den > budget * num:
             return
         v = (remaining & -remaining).bit_length() - 1
         for w in dominators[v]:
             if banned >> w & 1:
                 continue
             chosen.append(w)
-            yield from search(covered | masks[w], banned, budget - 1)
+            yield from search(covered | masks[w], banned, budget - costs[w])
             chosen.pop()
             banned |= 1 << w
 
-    return search(0, 0, k)
-
-
-def _minimum_covers(masks: list[int], dominators: Sequence, n: int) -> tuple[int, Iterator[Cover]]:
-    """The least k with a covering k-set, and a stream of every such set."""
-    lower = -(-n // max(m.bit_count() for m in masks))
-    for k in range(lower, n + 1):
-        sets = _covering_sets(masks, dominators, n, k)
+    for budget in range(-(-n * den // num), sum(costs) + 1):
+        sets = search(0, 0, budget)
         first = next(sets, None)
         if first is not None:
-            return k, chain((first,), sets)
-    raise AssertionError("full vertex set always dominates")
+            return budget, chain((first,), sets)
+    raise AssertionError("the masks must cover every vertex together")
 
 
 def _plain(g: Graph) -> tuple[int, Iterator[Cover]]:
     _check(g)
     dominators = [tuple(sorted((v, *g.adjacency[v]))) for v in range(g.n)]
-    return _minimum_covers(g.closed_masks(), dominators, g.n)
+    return _covering_sets(g.closed_masks(), [1] * g.n, dominators, g.n)
 
 
 def _total(g: Graph) -> tuple[int, Iterator[Cover]]:
     _check(g)
     if g.has_isolated_vertex():
         raise DomainError("total domination is undefined with isolated vertices")
-    return _minimum_covers(g.open_masks(), g.adjacency, g.n)
+    return _covering_sets(g.open_masks(), [1] * g.n, g.adjacency, g.n)
 
 
 def gamma(g: Graph) -> int:

@@ -1,14 +1,15 @@
-"""Lexicographic products and the closed-form cover extrema they admit.
+"""Lexicographic products and the exact cover extrema they admit.
 
 In G o H, vertex (g, h) is adjacent to (g', h') when {g, g'} is an edge of G,
 or g = g' and {h, h'} is an edge of H.  Pairs are flattened to single ids by
 (g, h) -> g * |V(H)| + h, so layer g occupies a contiguous id range.
 
-The closed forms split on gamma(H) and on whether gamma_t(G) reaches 2 *
-gamma(G); case selection uses the strict comparison so exactly one case
-applies.  validate_product_theorem recomputes everything with the exhaustive
-oracle and reports agreement as data, never asserting: the formulas are under
-audit here, not trusted.
+A minimum dominating set of G o H projects onto a dominating set P of G.  A
+member of P with a neighbour in P (the set J) holds one vertex of its layer,
+of any H-degree; one with none (the set I) must dominate its own layer, so it
+holds a gamma-set of H.  So gamma(G o H) is the least |J| + gamma(H) * |I|,
+and the cover extrema range over the P attaining it.  validate_product_theorem
+checks all three against the oracle on the built product, as data.
 """
 
 from __future__ import annotations
@@ -70,26 +71,25 @@ def _check_base(g: Graph, h: Graph) -> None:
 def gamma_lex_product(g: Graph, h: Graph) -> int:
     """Domination number of G o H without building the product.
 
-    Equals gamma(G) when H has a dominating vertex, else gamma_t(G): a layer
-    dominated from outside is dominated entirely, so only factor invariants
-    matter.
+    It equals gamma(G) when H has a dominating vertex, else gamma_t(G).
     """
     _check_base(g, h)
-    if oracle.gamma(h) == 1:
-        return oracle.gamma(g)
-    return oracle.gamma_total(g)
+    return _projection(g, _ingredients(g, h))[0]
 
 
 @dataclass(frozen=True)
 class ProductCoverResult:
-    """A closed-form cover extremum for G o H with its audit trail."""
+    """An exact cover extremum for G o H with its audit trail.
+
+    case names the regime of the gamma(G o H) theorem of Nowakowski & Rall
+    (1996) that the factors fall in; no value depends on it.
+    """
 
     mode: str  # "min" or "max"
     value: int
+    gamma: int
     case: str  # "gammaH_1", "total_case", or "mixed_case"
     ingredients: dict[str, int]
-    alpha: int | None = None  # mixed case only
-    beta: int | None = None
 
 
 def _ingredients(g: Graph, h: Graph) -> dict[str, int]:
@@ -113,53 +113,52 @@ def _ingredients(g: Graph, h: Graph) -> dict[str, int]:
     }
 
 
-def _dominating_vertex_min(g: Graph, ing: dict[str, int]) -> int:
-    """Exact minimum cover of G o H when H has a dominating vertex.
-
-    A minimum dominating set of G o H projects one-to-one onto a gamma-set D
-    of G.  A member of D with no neighbour in D sits on a universal vertex of
-    H to dominate its own layer; the others may sit on a minimum-degree one.
-    """
-    hn, degs, nbrs = ing["order_H"], g.degrees(), g.open_masks()
-
-    def value(d: tuple[int, ...]) -> int:
-        members = sum(1 << v for v in d)
-        iso = sum(1 for v in d if not nbrs[v] & members)
-        cov = sum(degs[v] for v in d)
-        return hn * cov + (hn - 1) * iso + ing["min_degree_H"] * (len(d) - iso)
-
-    return min(value(d) for d in oracle.enumerate_gamma_sets(g))
-
-
-def _closed_form(g: Graph, ing: dict[str, int], mode: str) -> ProductCoverResult:
-    hn = ing["order_H"]
+def _case(ing: dict[str, int]) -> str:
     if ing["gamma_H"] == 1:
-        if mode == "min":
-            value = _dominating_vertex_min(g, ing)
-        else:
-            value = ing["cover_max_G"] * hn + ing["gamma_G"] * (hn - 1)
-        return ProductCoverResult(mode, value, "gammaH_1", ing)
-    alpha = ing[f"total_cover_{mode}_G"] * hn + ing["gamma_total_G"] * ing[f"{mode}_degree_H"]
+        return "gammaH_1"
     if ing["gamma_H"] > 2 or ing["gamma_total_G"] < 2 * ing["gamma_G"]:
-        return ProductCoverResult(mode, alpha, "total_case", ing)
-    beta = 2 * ing[f"cover_{mode}_G"] * hn + ing[f"cover_{mode}_H"]
-    pick = min if mode == "min" else max
-    return ProductCoverResult(mode, pick(alpha, beta), "mixed_case", ing, alpha, beta)
+        return "total_case"
+    return "mixed_case"
+
+
+def _projection(g: Graph, ing: dict[str, int]) -> tuple[int, int, int]:
+    """gamma(G o H) and the least and greatest cover of its minimum dominating sets.
+
+    Vertex v of G offers token 2v (mask N(v), cost 1, v in J) and token
+    2v + 1 (mask N[v], cost gamma(H), v in I).  Each least-cost cover projects
+    onto an optimal P, and I and J are read off P, not off the tokens.
+    """
+    hn, gamma_h = ing["order_H"], ing["gamma_H"]
+    nbrs, degs = g.open_masks(), g.degrees()
+    masks = [m for v in range(g.n) for m in (nbrs[v], nbrs[v] | 1 << v)]
+    # with gamma(H) = 1 token 2w + 1 covers more than token 2w at the same
+    # cost, so only it is offered and each optimal P comes out once
+    kinds = (0, 1) if gamma_h > 1 else (1,)
+    dominators = [
+        sorted((2 * v + 1, *(2 * w + k for w in g.adjacency[v] for k in kinds)))
+        for v in range(g.n)
+    ]
+    size, covers = oracle._covering_sets(masks, [1, gamma_h] * g.n, dominators, g.n)
+    lows, highs = [], []
+    for cover in covers:
+        members = {t >> 1 for t in cover}
+        inside = sum(1 << v for v in members)
+        i = [v for v in members if not nbrs[v] & inside]
+        j = [v for v in members if nbrs[v] & inside]
+        base = hn * (gamma_h * sum(degs[v] for v in i) + sum(degs[v] for v in j))
+        lows.append(base + len(i) * ing["cover_min_H"] + len(j) * ing["min_degree_H"])
+        highs.append(base + len(i) * ing["cover_max_H"] + len(j) * ing["max_degree_H"])
+    return size, min(lows), max(highs)
 
 
 def product_cover_extrema(g: Graph, h: Graph, mode: str) -> ProductCoverResult:
-    """Closed-form cover extremum over minimum dominating sets of G o H.
-
-    Case selection: gamma(H) = 1 uses the gamma-sets of G; gamma(H) > 2,
-    or gamma(H) = 2 with gamma_t(G) strictly below 2 * gamma(G), uses total
-    cover extrema of G; the remaining boundary case takes the better of the
-    two candidate forms (alpha from the total route, beta from doubling a
-    plain minimum dominating set).
-    """
+    """Exact cover extremum over minimum dominating sets of G o H, never built."""
     if mode not in ("min", "max"):
         raise DomainError(f"mode must be 'min' or 'max', got {mode!r}")
     _check_base(g, h)
-    return _closed_form(g, _ingredients(g, h), mode)
+    ing = _ingredients(g, h)
+    size, low, high = _projection(g, ing)
+    return ProductCoverResult(mode, low if mode == "min" else high, size, _case(ing), ing)
 
 
 @dataclass(frozen=True)
@@ -183,26 +182,24 @@ class ProductValidation:
 
 
 def validate_product_theorem(g: Graph, h: Graph) -> ProductValidation:
-    """Build G o H, solve it exhaustively, and compare with the closed forms."""
+    """Build G o H, solve it exhaustively, and compare with the product forms."""
     if g.n * h.n > oracle.ORACLE_CAP:
         raise CapacityError(
             f"product order {g.n * h.n} exceeds the exhaustive cap of {oracle.ORACLE_CAP}"
         )
     _check_base(g, h)
     ing = _ingredients(g, h)
-    lo = _closed_form(g, ing, "min")
-    hi = _closed_form(g, ing, "max")
-    gamma_formula = ing["gamma_G"] if ing["gamma_H"] == 1 else ing["gamma_total_G"]
+    size, low, high = _projection(g, ing)
     rep = oracle.cover_extrema(lex_product(g, h))
     return ProductValidation(
-        case=lo.case,
-        gamma_formula=gamma_formula,
+        case=_case(ing),
+        gamma_formula=size,
         gamma_oracle=rep.size,
-        gamma_agree=gamma_formula == rep.size,
-        min_formula=lo.value,
+        gamma_agree=size == rep.size,
+        min_formula=low,
         min_oracle=rep.cover_min,
-        min_agree=lo.value == rep.cover_min,
-        max_formula=hi.value,
+        min_agree=low == rep.cover_min,
+        max_formula=high,
         max_oracle=rep.cover_max,
-        max_agree=hi.value == rep.cover_max,
+        max_agree=high == rep.cover_max,
     )

@@ -2,10 +2,11 @@
 PASS or FAIL line (plus NOTE lines for non-fatal findings) directly to the
 terminal.  Everything is exact integer arithmetic; there are no tolerances.
 
-Criterion 10 checks the product closed forms against the oracle; any
-disagreement is reported as a NOTE line before the verdict.  The
-dominating-vertex minimum ranges over the gamma-sets of G, which is what
-makes (C4, P3) come out at 14.
+Criterion 10 checks the product forms against the oracle; any disagreement
+is reported as a NOTE line before the verdict.  The forms range over the
+projections of minimum dominating sets onto G, where two adjacent members
+may both sit on low-degree H vertices, which is what makes (C4, P3) come
+out at 14.
 """
 
 import subprocess
@@ -291,6 +292,31 @@ def test_product_closed_forms_on_wider_grid(corpus7):
             if not v.agree:
                 bad.append((g.n, tuple(g.edges()), h.n, tuple(h.edges()), v))
     assert pairs == 972
+    assert not bad, bad[:3]
+
+
+def test_product_forms_on_full_grid(corpus7):
+    # Every connected G on 2..7 vertices times 22 choices of H, wherever
+    # |G o H| <= 26: every regime of the product forms, the mixed case at
+    # its largest orders included.
+    from domcover import validate_product_theorem
+
+    hs = ([complete(k) for k in range(1, 6)] + [path(k) for k in range(3, 7)]
+          + [cycle(k) for k in range(4, 7)] + [star(3), star(4), corona(2), book(1)]
+          + [Graph(k, ()) for k in range(2, 5)]
+          + [Graph(4, ((0, 1), (2, 3))), Graph(5, ((0, 1), (2, 3), (3, 4))),
+             Graph(6, ((0, 1), (1, 2), (3, 4), (4, 5)))])
+    pairs = 0
+    bad = []
+    for g in corpus7:
+        for h in hs:
+            if g.n * h.n > 26:
+                continue
+            pairs += 1
+            v = validate_product_theorem(g, h)
+            if not v.agree:
+                bad.append((g.n, tuple(g.edges()), h.n, tuple(h.edges()), v))
+    assert pairs == 7283
     assert not bad, bad[:3]
 
 

@@ -69,7 +69,7 @@ class TestHappyPaths:
         }
         assert code == 0
 
-    def test_product_and_validate(self, capsys):
+    def test_product_and_validate(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys, "product",
             "--familyG", "path", "--paramsG", "n=3",
@@ -78,6 +78,17 @@ class TestHappyPaths:
         assert code == 0
         res = json.loads(out)["results"]
         assert res["value"] == 5 and res["case"] == "gammaH_1" and res["gamma"] == 1
+        two_k1 = tmp_path / "2k1.txt"
+        two_k1.write_text("2 0\n")
+        code, out, _ = run_cli(
+            capsys, "product",
+            "--familyG", "path", "--paramsG", "n=3",
+            "--inputH", str(two_k1), "--objective", "max", "--json",
+        )
+        assert code == 0
+        res = json.loads(out)["results"]
+        assert (res["value"], res["case"], res["gamma"]) == (8, "mixed_case", 2)
+        assert "alpha" not in res and "beta" not in res
         code, out, _ = run_cli(
             capsys, "validate-product",
             "--familyG", "path", "--paramsG", "n=3",
