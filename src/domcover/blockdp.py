@@ -14,10 +14,11 @@ vertex dominates the whole block, which keeps the state space small:
                NONE_PENDING - nothing selected and some member still needs
                            the parent cut to be selected.
 
-Values are (size, cover) pairs with size strictly first, covers being whole-
-graph degree sums; the max objective negates covers internally.  Non-cut
-members of one block are interchangeable, so "one non-cut selected" is a
-single option and the witness materializes the smallest id.
+Each state carries the tree solver's integer key, size*K + sign*cover (see
+treedp._keys): size strictly first, covers being whole-graph degree sums,
+negated for the max objective.  Non-cut members of one block are
+interchangeable, so "one non-cut selected" is a single option and the
+witness materializes the smallest id.
 """
 
 from __future__ import annotations
@@ -26,17 +27,17 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .graph import Graph, blocks_and_cut_vertices, blocks_are_cliques
-from .treedp import CoverSolution
-
-_INF = 1 << 40
+from .treedp import CoverSolution, _decode, _keys
 
 
 @dataclass(frozen=True)
 class CutTree:
-    """Blocks and cut vertices of a connected graph, with a designated root block.
+    """Blocks and cut vertices of a connected graph, rooted at a designated block.
 
     Implicit bipartite edges: block i is adjacent to cut vertex v exactly when
-    v is a member of blocks[i].
+    v is a member of blocks[i].  The rooting is held as parent links (-1 at the
+    root block and at vertices that are not cuts) and a post_order of
+    (is_block, index) nodes in which children precede their parent.
     """
 
     graph: Graph
@@ -44,16 +45,15 @@ class CutTree:
     cut_vertices: tuple[int, ...]
     noncut_members: tuple[tuple[int, ...], ...]
     root_block: int
+    cuts_in_block: tuple[tuple[int, ...], ...]
+    blocks_of_cut: tuple[tuple[int, ...], ...]  # indexed by vertex id
+    parent_cut: tuple[int, ...]  # of each block
+    parent_block: tuple[int, ...]  # of each vertex
+    post_order: tuple[tuple[bool, int], ...]
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """(block index, cut vertex) pairs, lexicographic."""
-        cuts = set(self.cut_vertices)
-        out = []
-        for i, block in enumerate(self.blocks):
-            for v in block:
-                if v in cuts:
-                    out.append((i, v))
-        return tuple(out)
+        return tuple((i, v) for i, cuts in enumerate(self.cuts_in_block) for v in cuts)
 
 
 def build_cut_tree(g: Graph) -> CutTree:
@@ -61,9 +61,38 @@ def build_cut_tree(g: Graph) -> CutTree:
     blocks, cuts = blocks_and_cut_vertices(g)
     if not blocks_are_cliques(g, blocks):
         raise DomainError("not a block graph: some block is not a clique")
-    cutset = set(cuts)
-    noncut = tuple(tuple(v for v in block if v not in cutset) for block in blocks)
-    return CutTree(g, blocks, cuts, noncut, 0)
+    is_cut = bytearray(g.n)
+    for v in cuts:
+        is_cut[v] = 1
+    noncut = tuple(tuple(v for v in block if not is_cut[v]) for block in blocks)
+    cuts_in_block = tuple(tuple(v for v in block if is_cut[v]) for block in blocks)
+    blocks_of_cut: list[list[int]] = [[] for _ in range(g.n)]
+    for i, members in enumerate(cuts_in_block):
+        for v in members:
+            blocks_of_cut[v].append(i)
+
+    # Root the bipartite tree at block 0; order is breadth-first.
+    parent_cut = [-1] * len(blocks)
+    parent_block = [-1] * g.n
+    bfs: list[tuple[bool, int]] = [(True, 0)]
+    i = 0
+    while i < len(bfs):
+        is_block, x = bfs[i]
+        i += 1
+        if is_block:
+            for v in cuts_in_block[x]:
+                if v != parent_cut[x]:
+                    parent_block[v] = x
+                    bfs.append((False, v))
+        else:
+            for b in blocks_of_cut[x]:
+                if b != parent_block[x]:
+                    parent_cut[b] = x
+                    bfs.append((True, b))
+    return CutTree(
+        g, blocks, cuts, noncut, 0, cuts_in_block, tuple(map(tuple, blocks_of_cut)),
+        tuple(parent_cut), tuple(parent_block), tuple(reversed(bfs)),
+    )
 
 
 def solve_block_graph(g: Graph, objective: str) -> CoverSolution:
@@ -81,43 +110,19 @@ def solve_block_graph(g: Graph, objective: str) -> CoverSolution:
 def _solve_cut_tree(tree: CutTree, objective: str) -> CoverSolution:
     """solve_block_graph's DP on a cut-tree that is already built."""
     g = tree.graph
-    sign = 1 if objective == "min" else -1
+    sign, scale, inf = _keys(g, objective)
     n = g.n
     adj = g.adjacency
-    blocks = tree.blocks
-    nblocks = len(blocks)
-    cutset = set(tree.cut_vertices)
-    cuts_in_block = [tuple(v for v in block if v in cutset) for block in blocks]
-    blocks_of_cut: dict[int, list[int]] = {v: [] for v in cutset}
-    for i, members in enumerate(cuts_in_block):
-        for v in members:
-            blocks_of_cut[v].append(i)
+    nblocks = len(tree.blocks)
+    cuts_in_block = tree.cuts_in_block
+    blocks_of_cut = tree.blocks_of_cut
+    parent_cut = tree.parent_cut
+    parent_block = tree.parent_block
 
-    # Root the bipartite tree at block 0; order is breadth-first.
-    parent_cut = [-1] * nblocks        # parent cut vertex of a block
-    parent_block: dict[int, int] = {}  # parent block index of a cut vertex
-    bfs: list[tuple[bool, int]] = [(True, tree.root_block)]
-    i = 0
-    while i < len(bfs):
-        is_block, x = bfs[i]
-        i += 1
-        if is_block:
-            for v in cuts_in_block[x]:
-                if v != parent_cut[x]:
-                    parent_block[v] = x
-                    bfs.append((False, v))
-        else:
-            for b in blocks_of_cut[x]:
-                if b != parent_block[x]:
-                    parent_cut[b] = x
-                    bfs.append((True, b))
-
-    # Block states: 0 SELECTED, 1 NONE_SAT, 2 NONE_PENDING.
-    bs = [[0] * nblocks, [0] * nblocks, [0] * nblocks]
-    bc = [[0] * nblocks, [0] * nblocks, [0] * nblocks]
-    # Cut states: 0 SELECTED, 1 DOMINATED, 2 FREE (indexed by vertex id).
-    cs = [[0] * n, [0] * n, [0] * n]
-    cc = [[0] * n, [0] * n, [0] * n]
+    # Block keys by state: 0 SELECTED, 1 NONE_SAT, 2 NONE_PENDING.
+    bk0, bk1, bk2 = [0] * nblocks, [0] * nblocks, [0] * nblocks
+    # Cut keys by state: 0 SELECTED, 1 DOMINATED, 2 FREE (indexed by vertex id).
+    ck0, ck1, ck2 = [0] * n, [0] * n, [0] * n
     # Witness bookkeeping.
     sel_choice = [0] * n   # cut child's state when its block is SELECTED
     pend_choice = [0] * n  # cut child's state when its block is NONE_PENDING
@@ -127,172 +132,124 @@ def _solve_cut_tree(tree: CutTree, objective: str) -> CoverSolution:
     dom_choice = [0] * nblocks   # block child's state when its cut is DOMINATED
     cswap = [-1] * n
 
-    for is_block, x in reversed(bfs):
+    for is_block, x in tree.post_order:
+        # bd: least cost of forcing a child SELECTED; 0 once one already is
+        bd, sw = inf, -1
         if is_block:
-            members = blocks[x]
-            nb_noncut = len(tree.noncut_members[x])
-            dnc = len(members) - 1
-            base_s = 0
-            base_c = 0
-            has_sel = False
-            bd_s, bd_c, sw = _INF, 0, -1
-            pen_s = 0
-            pen_c = 0
-            sat_s = 0
-            sat_c = 0
+            base = pen = sat = 0
+            pc = parent_cut[x]
             for v in cuts_in_block[x]:
-                if v == parent_cut[x]:
+                if v == pc:
                     continue
-                ss, sc = cs[0][v], cc[0][v]
-                ds, dc = cs[1][v], cc[1][v]
-                fs, fc = cs[2][v], cc[2][v]
+                s, d, f = ck0[v], ck1[v], ck2[v]
                 # block provides a selected member: child may be anything
-                st, vs, vc = 0, ss, sc
-                if ds < vs or (ds == vs and dc < vc):
-                    st, vs, vc = 1, ds, dc
-                if fs < vs or (fs == vs and fc < vc):
-                    st, vs, vc = 2, fs, fc
-                base_s += vs
-                base_c += vc
+                st, val = 0, s
+                if d < val:
+                    st, val = 1, d
+                if f < val:
+                    st, val = 2, f
+                base += val
                 sel_choice[v] = st
                 if st == 0:
-                    has_sel = True
-                else:
-                    es, ec = ss - vs, sc - vc
-                    if es < bd_s or (es == bd_s and ec < bd_c):
-                        bd_s, bd_c, sw = es, ec, v
+                    bd, sw = 0, -1
+                elif s - val < bd:
+                    bd, sw = s - val, v
                 # no selection in the block: child must not demand it
-                if ds < fs or (ds == fs and dc <= fc):
-                    pen_s += ds
-                    pen_c += dc
+                if d <= f:
+                    pen += d
                     pend_choice[v] = 1
                 else:
-                    pen_s += fs
-                    pen_c += fc
+                    pen += f
                     pend_choice[v] = 2
-                sat_s += ds
-                sat_c += dc
+                sat += d
             # SELECTED option A: pick one non-cut member (smallest id in witness)
-            a_s = base_s + 1 + (0 if nb_noncut else _INF)
-            a_c = base_c + sign * dnc
+            nb_noncut = len(tree.noncut_members[x])
+            key_a = base + scale + sign * (len(tree.blocks[x]) - 1) + (0 if nb_noncut else inf)
             # option B: no non-cut selected, force a selected child cut
-            if has_sel:
-                b_s, b_c = base_s, base_c
-            elif sw >= 0:
-                b_s, b_c = base_s + bd_s, base_c + bd_c
-            else:
-                b_s, b_c = _INF, 0
-            if a_s < b_s or (a_s == b_s and a_c <= b_c):
-                opta[x] = True
-                bs[0][x], bc[0][x] = (a_s, a_c) if a_s < _INF else (_INF, 0)
-            else:
-                opta[x] = False
-                bswap[x] = -1 if has_sel else sw
-                bs[0][x], bc[0][x] = (b_s, b_c) if b_s < _INF else (_INF, 0)
-            if nb_noncut or sat_s >= _INF:
-                bs[1][x], bc[1][x] = _INF, 0
-            else:
-                bs[1][x], bc[1][x] = sat_s, sat_c
-            if pen_s >= _INF:
-                bs[2][x], bc[2][x] = _INF, 0
-            else:
-                bs[2][x], bc[2][x] = pen_s, pen_c
+            key_b = base + bd
+            opta[x] = key_a <= key_b
+            bswap[x] = sw
+            bk0[x] = min(key_a, key_b, inf)
+            bk1[x] = inf if nb_noncut else min(sat, inf)
+            bk2[x] = min(pen, inf)
         else:
             v = x
-            deg = len(adj[v])
-            sel_s = 1
-            sel_c = sign * deg
-            dom_s = 0
-            dom_c = 0
-            has_sel = False
-            bd_s, bd_c, sw = _INF, 0, -1
-            fr_s = 0
-            fr_c = 0
+            sel = scale + sign * len(adj[v])
+            dom = fr = 0
+            pb = parent_block[v]
             for b in blocks_of_cut[v]:
-                if b == parent_block[v]:
+                if b == pb:
                     continue
-                es, ec = bs[0][b], bc[0][b]
-                ts, tc = bs[1][b], bc[1][b]
-                ps, pc = bs[2][b], bc[2][b]
+                e, t, p = bk0[b], bk1[b], bk2[b]
                 # this cut selected: every child block state is compatible
-                st, vs, vc = 0, es, ec
-                if ts < vs or (ts == vs and tc < vc):
-                    st, vs, vc = 1, ts, tc
-                if ps < vs or (ps == vs and pc < vc):
-                    st, vs, vc = 2, ps, pc
-                sel_s += vs
-                sel_c += vc
+                st, val = 0, e
+                if t < val:
+                    st, val = 1, t
+                if p < val:
+                    st, val = 2, p
+                sel += val
                 selp_choice[b] = st
                 # this cut unselected but dominated: needs a SELECTED child block
-                if es < ts or (es == ts and ec <= tc):
-                    dom_s += es
-                    dom_c += ec
+                if e <= t:
+                    dom += e
                     dom_choice[b] = 0
-                    has_sel = True
+                    bd, sw = 0, -1
                 else:
-                    dom_s += ts
-                    dom_c += tc
+                    dom += t
                     dom_choice[b] = 1
-                    ds2, dc2 = es - ts, ec - tc
-                    if ds2 < bd_s or (ds2 == bd_s and dc2 < bd_c):
-                        bd_s, bd_c, sw = ds2, dc2, b
-                fr_s += ts
-                fr_c += tc
-            cs[0][v], cc[0][v] = sel_s, sel_c
-            if not has_sel:
-                dom_s += bd_s
-                dom_c += bd_c
-                cswap[v] = sw
-            cs[1][v], cc[1][v] = (dom_s, dom_c) if dom_s < _INF else (_INF, 0)
-            cs[2][v], cc[2][v] = (fr_s, fr_c) if fr_s < _INF else (_INF, 0)
+                    if e - t < bd:
+                        bd, sw = e - t, b
+                fr += t
+            ck0[v] = sel
+            ck1[v] = min(dom + bd, inf)
+            cswap[v] = sw
+            ck2[v] = min(fr, inf)
 
     r = tree.root_block
-    if bs[0][r] < bs[1][r] or (bs[0][r] == bs[1][r] and bc[0][r] <= bc[1][r]):
-        state, size, scov = 0, bs[0][r], bc[0][r]
-    else:
-        state, size, scov = 1, bs[1][r], bc[1][r]
-
+    state = 0 if bk0[r] <= bk1[r] else 1
     selected: list[int] = []
     stack: list[tuple[bool, int, int]] = [(True, r, state)]
     while stack:
         is_block, x, st = stack.pop()
         if is_block:
+            pc = parent_cut[x]
             if st == 0:
                 if opta[x]:
                     selected.append(tree.noncut_members[x][0])
                     for v in cuts_in_block[x]:
-                        if v != parent_cut[x]:
+                        if v != pc:
                             stack.append((False, v, sel_choice[v]))
                 else:
                     sw = bswap[x]
                     for v in cuts_in_block[x]:
-                        if v != parent_cut[x]:
+                        if v != pc:
                             stack.append((False, v, 0 if v == sw else sel_choice[v]))
             elif st == 1:
                 for v in cuts_in_block[x]:
-                    if v != parent_cut[x]:
+                    if v != pc:
                         stack.append((False, v, 1))
             else:
                 for v in cuts_in_block[x]:
-                    if v != parent_cut[x]:
+                    if v != pc:
                         stack.append((False, v, pend_choice[v]))
         else:
             v = x
+            pb = parent_block[v]
             if st == 0:
                 selected.append(v)
                 for b in blocks_of_cut[v]:
-                    if b != parent_block[v]:
+                    if b != pb:
                         stack.append((True, b, selp_choice[b]))
             elif st == 1:
                 sw = cswap[v]
                 for b in blocks_of_cut[v]:
-                    if b != parent_block[v]:
+                    if b != pb:
                         stack.append((True, b, 0 if b == sw else dom_choice[b]))
             else:
                 for b in blocks_of_cut[v]:
-                    if b != parent_block[v]:
+                    if b != pb:
                         stack.append((True, b, 1))
-    return CoverSolution(objective, size, sign * scov, tuple(sorted(selected)))
+    return _decode(objective, min(bk0[r], bk1[r]), scale, selected)
 
 
 def block_cover_extrema(g: Graph):

@@ -77,8 +77,8 @@ def build_parser() -> _Parser:
         sub.add_argument("--witness", action="store_true", help="include witness sets")
 
     for name, help_text in (
-        ("product", "closed-form cover extremum of a lexicographic product"),
-        ("validate-product", "compare closed forms against the exhaustive oracle"),
+        ("product", "cover extremum of a lexicographic product, by projection onto G"),
+        ("validate-product", "compare the projection form against the exhaustive oracle"),
     ):
         sub = subs.add_parser(name, help=help_text)
         _add_input_flags(sub, "G")

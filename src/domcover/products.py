@@ -15,6 +15,7 @@ checks all three against the oracle on the built product, as data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import CapacityError, DomainError
 from .graph import Graph, is_connected
@@ -71,10 +72,13 @@ def _check_base(g: Graph, h: Graph) -> None:
 def gamma_lex_product(g: Graph, h: Graph) -> int:
     """Domination number of G o H without building the product.
 
-    It equals gamma(G) when H has a dominating vertex, else gamma_t(G).
+    It is the least |J| + gamma(H) * |I| over the dominating sets P of G (see
+    the module docstring); only gamma(H) and the first budget of one search
+    on G are needed.
     """
     _check_base(g, h)
-    return _projection(g, _ingredients(g, h))[0]
+    oracle._check(g)  # the search on G is exhaustive
+    return _projection_search(g, oracle.gamma(h))[0]
 
 
 @dataclass(frozen=True)
@@ -121,15 +125,14 @@ def _case(ing: dict[str, int]) -> str:
     return "mixed_case"
 
 
-def _projection(g: Graph, ing: dict[str, int]) -> tuple[int, int, int]:
-    """gamma(G o H) and the least and greatest cover of its minimum dominating sets.
+def _projection_search(g: Graph, gamma_h: int) -> tuple[int, Iterator[oracle.Cover]]:
+    """gamma(G o H) and a stream of the least-cost token covers of G.
 
     Vertex v of G offers token 2v (mask N(v), cost 1, v in J) and token
     2v + 1 (mask N[v], cost gamma(H), v in I).  Each least-cost cover projects
-    onto an optimal P, and I and J are read off P, not off the tokens.
+    onto an optimal P.
     """
-    hn, gamma_h = ing["order_H"], ing["gamma_H"]
-    nbrs, degs = g.open_masks(), g.degrees()
+    nbrs = g.open_masks()
     masks = [m for v in range(g.n) for m in (nbrs[v], nbrs[v] | 1 << v)]
     # with gamma(H) = 1 token 2w + 1 covers more than token 2w at the same
     # cost, so only it is offered and each optimal P comes out once
@@ -138,7 +141,17 @@ def _projection(g: Graph, ing: dict[str, int]) -> tuple[int, int, int]:
         sorted((2 * v + 1, *(2 * w + k for w in g.adjacency[v] for k in kinds)))
         for v in range(g.n)
     ]
-    size, covers = oracle._covering_sets(masks, [1, gamma_h] * g.n, dominators, g.n)
+    return oracle._covering_sets(masks, [1, gamma_h] * g.n, dominators, g.n)
+
+
+def _projection(g: Graph, ing: dict[str, int]) -> tuple[int, int, int]:
+    """gamma(G o H) and the least and greatest cover of its minimum dominating sets.
+
+    I and J are read off each optimal P, not off the tokens that cover it.
+    """
+    hn, gamma_h = ing["order_H"], ing["gamma_H"]
+    nbrs, degs = g.open_masks(), g.degrees()
+    size, covers = _projection_search(g, gamma_h)
     lows, highs = [], []
     for cover in covers:
         members = {t >> 1 for t in cover}

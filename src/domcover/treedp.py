@@ -7,11 +7,12 @@ including stars and short paths rooted at a leaf:
   OUT_DOM   not selected, dominated by one of its children;
   OUT_FREE  not selected and not yet dominated (its parent must be selected).
 
-Each state carries the best (size, cover) pair, compared lexicographically
-with size strictly first, so the result ranges only over minimum dominating
-sets.  Covers are degree sums in the whole tree, not the subtree.  For the
-max objective the cover component is negated internally so one comparison
-path serves both objectives.
+Each state carries one integer key, size*K + sign*cover (see _keys), whose
+order is the lexicographic order of (size, sign*cover): size strictly first,
+so the result ranges only over minimum dominating sets, then the cover,
+negated for the max objective so one comparison path serves both.  Covers
+are degree sums in the whole tree, not the subtree.  The block-graph solver
+uses the same keys.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .graph import Graph
-
-_INF = 1 << 40
 
 
 @dataclass(frozen=True)
@@ -76,6 +75,31 @@ def root_tree(g: Graph, root: int = 0) -> RootedTree:
     return RootedTree(g, root, tuple(parent), tuple(reversed(visit)))
 
 
+def _keys(g: Graph, objective: str) -> tuple[int, int, int]:
+    """The sign, scale K and infeasible key INF of one objective's DP keys.
+
+    A state of size s and cover c has key s*K + sign*c with K = 4m + 4.  Every
+    partial cover lies in [0, 2m], so two keys, or two differences of keys,
+    differ in their cover parts by at most 4m < K and compare exactly like
+    the (size, sign*cover) pairs they encode.  Every feasible key is >= 0
+    and below INF = (n + 1)*K, so a sum with an infeasible part stays >= INF;
+    such sums clamp to INF.
+    """
+    if objective not in ("min", "max"):
+        raise DomainError(f"objective must be 'min' or 'max', got {objective!r}")
+    scale = 4 * g.m + 4
+    return (1 if objective == "min" else -1), scale, (g.n + 1) * scale
+
+
+def _decode(objective: str, key: int, scale: int, selected: list[int]) -> CoverSolution:
+    """The CoverSolution of a root key and its selected vertices."""
+    size = (key + scale // 2) // scale
+    cover = key - size * scale
+    return CoverSolution(
+        objective, size, cover if objective == "min" else -cover, tuple(sorted(selected))
+    )
+
+
 def solve_tree(tree: RootedTree, objective: str) -> CoverSolution:
     """Cover extremum over all minimum dominating sets of the tree.
 
@@ -83,19 +107,14 @@ def solve_tree(tree: RootedTree, objective: str) -> CoverSolution:
     IN, then OUT_DOM, then OUT_FREE; swap ties toward the smaller child id,
     so witnesses are deterministic.
     """
-    if objective not in ("min", "max"):
-        raise DomainError(f"objective must be 'min' or 'max', got {objective!r}")
-    sign = 1 if objective == "min" else -1
     g = tree.graph
+    sign, scale, inf = _keys(g, objective)
     n = g.n
     adj = g.adjacency
     parent = tree.parent
-    in_s = [0] * n
-    in_c = [0] * n
-    dom_s = [0] * n
-    dom_c = [0] * n
-    fr_s = [0] * n
-    fr_c = [0] * n
+    in_k = [0] * n
+    dom_k = [0] * n
+    fr_k = [0] * n
     ch_in = [0] * n   # child's state when its parent is IN
     ch_out = [0] * n  # child's state when its parent is OUT_DOM (before swap)
     swap = [-1] * n   # child forced to IN so OUT_DOM has a selected child
@@ -103,93 +122,50 @@ def solve_tree(tree: RootedTree, objective: str) -> CoverSolution:
     for v in tree.post_order:
         pv = parent[v]
         row = adj[v]
-        s_in = 1
-        c_in = sign * len(row)
-        s_dom = 0
-        c_dom = 0
-        s_fr = 0
-        c_fr = 0
-        has_in_child = False
-        bd_s = _INF
-        bd_c = 0
+        k_in = scale + sign * len(row)
+        k_dom = 0
+        k_fr = 0
+        # least cost of forcing a child IN; 0 once one already is
+        bd = inf
         sw = -1
-        nchild = 0
         for u in row:
             if u == pv:
                 continue
-            nchild += 1
-            ius = in_s[u]
-            iuc = in_c[u]
-            dus = dom_s[u]
-            duc = dom_c[u]
+            iu = in_k[u]
+            du = dom_k[u]
+            fu = fr_k[u]
             # parent IN: child may be anything, a FREE child gets dominated here
-            bs = ius
-            bc = iuc
+            b = iu
             st = 0
-            if dus < bs or (dus == bs and duc < bc):
-                bs = dus
-                bc = duc
+            if du < b:
+                b = du
                 st = 1
-            fus = fr_s[u]
-            fuc = fr_c[u]
-            if fus < bs or (fus == bs and fuc < bc):
-                bs = fus
-                bc = fuc
+            if fu < b:
+                b = fu
                 st = 2
-            s_in += bs
-            c_in += bc
+            k_in += b
             ch_in[u] = st
             # parent OUT: child must be dominated inside its own subtree
-            if ius < dus or (ius == dus and iuc <= duc):
-                s_dom += ius
-                c_dom += iuc
+            if iu <= du:
+                k_dom += iu
                 ch_out[u] = 0
-                has_in_child = True
+                bd = 0
+                sw = -1
             else:
-                s_dom += dus
-                c_dom += duc
+                k_dom += du
                 ch_out[u] = 1
-                ds = ius - dus
-                dc = iuc - duc
-                if ds < bd_s or (ds == bd_s and dc < bd_c):
-                    bd_s = ds
-                    bd_c = dc
+                if iu - du < bd:
+                    bd = iu - du
                     sw = u
-            s_fr += dus
-            c_fr += duc
-        if nchild == 0:
-            in_s[v] = 1
-            in_c[v] = sign * len(row)
-            dom_s[v] = _INF
-            dom_c[v] = 0
-            fr_s[v] = 0
-            fr_c[v] = 0
-            continue
-        in_s[v] = s_in
-        in_c[v] = c_in
-        if not has_in_child:
-            s_dom += bd_s
-            c_dom += bd_c
-            swap[v] = sw
-        if s_dom >= _INF:
-            dom_s[v] = _INF
-            dom_c[v] = 0
-        else:
-            dom_s[v] = s_dom
-            dom_c[v] = c_dom
-        if s_fr >= _INF:
-            fr_s[v] = _INF
-            fr_c[v] = 0
-        else:
-            fr_s[v] = s_fr
-            fr_c[v] = c_fr
+            k_fr += du
+        in_k[v] = k_in
+        k_dom += bd
+        swap[v] = sw
+        dom_k[v] = k_dom if k_dom < inf else inf
+        fr_k[v] = k_fr if k_fr < inf else inf
 
     r = tree.root
-    if in_s[r] < dom_s[r] or (in_s[r] == dom_s[r] and in_c[r] <= dom_c[r]):
-        state, size, scov = 0, in_s[r], in_c[r]
-    else:
-        state, size, scov = 1, dom_s[r], dom_c[r]
-
+    state = 0 if in_k[r] <= dom_k[r] else 1
     selected: list[int] = []
     stack = [(r, state)]
     while stack:
@@ -209,7 +185,7 @@ def solve_tree(tree: RootedTree, objective: str) -> CoverSolution:
             for u in adj[v]:
                 if u != pv:
                     stack.append((u, 1))
-    return CoverSolution(objective, size, sign * scov, tuple(sorted(selected)))
+    return _decode(objective, min(in_k[r], dom_k[r]), scale, selected)
 
 
 def tree_cover_extrema(tree: RootedTree):

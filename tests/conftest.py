@@ -1,6 +1,20 @@
+import os
+from pathlib import Path
+
 import pytest
 
 import corpus
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture(scope="session")
+def src_env():
+    """The environment for a child interpreter: this checkout's src first on
+    PYTHONPATH, so `python -m domcover.cli` imports without an install."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return env
 
 
 @pytest.fixture(scope="session")

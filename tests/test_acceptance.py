@@ -336,7 +336,7 @@ def test_criterion_11_doubled_total_domination_independence(capsys, corpus7):
              not violations, detail=f"{population} qualifying graphs")
 
 
-def test_criterion_12_byte_identical_reruns(capsys):
+def test_criterion_12_byte_identical_reruns(capsys, src_env):
     commands = [
         [sys.executable, "-m", "domcover.cli", "cover", "--family", "random_gnp",
          "--params", "n=11", "num=2", "den=5", "--seed", "17", "--json", "--witness"],
@@ -345,8 +345,8 @@ def test_criterion_12_byte_identical_reruns(capsys):
     ]
     ok = True
     for cmd in commands:
-        a = subprocess.run(cmd, capture_output=True)
-        b = subprocess.run(cmd, capture_output=True)
+        a = subprocess.run(cmd, capture_output=True, env=src_env)
+        b = subprocess.run(cmd, capture_output=True, env=src_env)
         if not (a.returncode == b.returncode == 0 and a.stdout == b.stdout):
             ok = False
     _verdict(capsys, 12, "identical inputs and seeds give byte-identical output",

@@ -75,10 +75,14 @@ class TestAgainstTreeDP:
     def test_all_small_trees(self, trees10):
         for g in trees10:
             t = root_tree(g, 0)
+            ref = cover_extrema(g)
             for objective in ("min", "max"):
                 a = solve_block_graph(g, objective)
                 b = solve_tree(t, objective)
                 assert (a.size, a.cover) == (b.size, b.cover)
+                # on trees both witnesses are the oracle's lexicographically first
+                want = ref.witness_min if objective == "min" else ref.witness_max
+                assert a.witness == b.witness == want
 
 
 class TestWitnesses:

@@ -172,14 +172,14 @@ class TestDeterminism:
         _, second, _ = run_cli(capsys, *args)
         assert first == second
 
-    def test_subprocess_entry_point_bytes(self):
+    def test_subprocess_entry_point_bytes(self, src_env):
         cmd = [
             sys.executable, "-m", "domcover.cli",
             "cover", "--family", "random_tree", "--params", "n=12",
             "--seed", "3", "--json", "--witness",
         ]
-        a = subprocess.run(cmd, capture_output=True, check=True)
-        b = subprocess.run(cmd, capture_output=True, check=True)
+        a = subprocess.run(cmd, capture_output=True, check=True, env=src_env)
+        b = subprocess.run(cmd, capture_output=True, check=True, env=src_env)
         assert a.stdout == b.stdout
         assert a.stdout.endswith(b"}\n")
         json.loads(a.stdout)

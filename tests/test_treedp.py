@@ -83,9 +83,12 @@ class TestAgainstOracle:
 class TestWitnesses:
     def test_witness_attains_objective(self):
         for g in corpus.random_trees(80, 15):
+            ref = cover_extrema(g)
             k = None
             for objective in ("min", "max"):
                 sol = solve_tree(root_tree(g, 0), objective)
+                # the oracle's lexicographically first attaining set
+                assert sol.witness == (ref.witness_min if objective == "min" else ref.witness_max)
                 assert is_dominating(g, sol.witness)
                 assert len(sol.witness) == sol.size
                 assert cover_number(g, sol.witness) == sol.cover
