@@ -15,6 +15,7 @@ from domcover import (
     star,
     tree_cover_extrema,
 )
+from domcover.treedp import _decode, _keys
 
 
 def brute(g):
@@ -30,6 +31,89 @@ def dp(g, root=0):
     return lo.size, lo.cover, hi.cover
 
 
+def reference_solve(tree, objective):
+    """The vertex-id form of solve_tree: one post-order walk over the
+    adjacency, swap ties by strict < in ascending child id.  Same keys and
+    tie rules, so its (size, cover, witness) must match exactly."""
+    g = tree.graph
+    sign, scale, inf = _keys(g, objective)
+    n = g.n
+    adj = g.adjacency
+    parent = tree.parent
+    in_k = [0] * n
+    dom_k = [0] * n
+    fr_k = [0] * n
+    ch_in = [0] * n
+    ch_out = [0] * n
+    swap = [-1] * n
+    for v in tree.post_order:
+        pv = parent[v]
+        row = adj[v]
+        k_in = scale + sign * len(row)
+        k_dom = 0
+        k_fr = 0
+        bd = inf
+        sw = -1
+        for u in row:
+            if u == pv:
+                continue
+            iu = in_k[u]
+            du = dom_k[u]
+            fu = fr_k[u]
+            b = iu
+            st = 0
+            if du < b:
+                b = du
+                st = 1
+            if fu < b:
+                b = fu
+                st = 2
+            k_in += b
+            ch_in[u] = st
+            if iu <= du:
+                k_dom += iu
+                ch_out[u] = 0
+                bd = 0
+                sw = -1
+            else:
+                k_dom += du
+                ch_out[u] = 1
+                if iu - du < bd:
+                    bd = iu - du
+                    sw = u
+            k_fr += du
+        in_k[v] = k_in
+        k_dom += bd
+        swap[v] = sw
+        dom_k[v] = k_dom if k_dom < inf else inf
+        fr_k[v] = k_fr if k_fr < inf else inf
+
+    r = tree.root
+    selected = []
+    stack = [(r, 0 if in_k[r] <= dom_k[r] else 1)]
+    while stack:
+        v, st = stack.pop()
+        pv = parent[v]
+        if st == 0:
+            selected.append(v)
+            for u in adj[v]:
+                if u != pv:
+                    stack.append((u, ch_in[u]))
+        elif st == 1:
+            for u in adj[v]:
+                if u != pv:
+                    stack.append((u, 0 if u == swap[v] else ch_out[u]))
+        else:
+            for u in adj[v]:
+                if u != pv:
+                    stack.append((u, 1))
+    return _decode(objective, min(in_k[r], dom_k[r]), scale, selected)
+
+
+def three_roots(g):
+    return sorted({0, g.n // 2, g.n - 1})
+
+
 class TestRooting:
     def test_parent_and_order(self):
         t = root_tree(path(4), 0)
@@ -39,6 +123,22 @@ class TestRooting:
             assert all(u in seen for u in t.graph.neighbors(v) if u != t.parent[v])
             seen.add(v)
         assert seen == {0, 1, 2, 3}
+        rooted = [root_tree(path(4), 0), root_tree(star(6), 3)]
+        rooted += [root_tree(g, r) for g in corpus.random_trees(60, 13) for r in three_roots(g)]
+        for t in rooted:
+            g, n = t.graph, t.graph.n
+            assert t.order[0] == t.root and t.up[0] == -1
+            assert sorted(t.order) == list(range(n))
+            assert t.post_order == t.order[::-1]
+            for i in range(1, n):
+                assert t.up[i] < i
+                assert t.order[t.up[i]] == t.parent[t.order[i]]
+            assert t.degree == tuple(g.degree(v) for v in t.order)
+            # parents' positions never fall, so siblings are consecutive, in ascending id
+            assert list(t.up) == sorted(t.up)
+            for i in range(1, n - 1):
+                if t.up[i] == t.up[i + 1]:
+                    assert t.order[i] < t.order[i + 1]
 
     def test_single_vertex(self):
         t = root_tree(Graph(1, ()), 0)
@@ -78,6 +178,25 @@ class TestAgainstOracle:
     def test_spiders_sample(self):
         for g in corpus.spiders(12):
             assert dp(g) == brute(g)
+
+
+class TestAgainstReference:
+    @staticmethod
+    def same(g, root):
+        t = root_tree(g, root)
+        for objective in ("min", "max"):
+            assert solve_tree(t, objective) == reference_solve(t, objective)
+
+    def test_small_trees_every_root(self, trees10):
+        for g in trees10:
+            if g.n <= 9:
+                for root in range(g.n):
+                    self.same(g, root)
+
+    def test_random_trees_three_roots(self):
+        for g in corpus.random_trees(120, 13):
+            for root in three_roots(g):
+                self.same(g, root)
 
 
 class TestWitnesses:
