@@ -1,4 +1,4 @@
-"""Linear-time cover extrema on trees.
+"""Linear-time cover extrema on trees, and the one DP behind both engines.
 
 Three states per vertex make the bottom-up recursion sound on every tree,
 including stars and short paths rooted at a leaf:
@@ -11,17 +11,19 @@ Each state carries one integer key, size*K + sign*cover (see _keys), whose
 order is the lexicographic order of (size, sign*cover): size strictly first,
 so the result ranges only over minimum dominating sets, then the cover,
 negated for the max objective so one comparison path serves both.  Covers
-are degree sums in the whole tree, not the subtree.  The block-graph solver
-uses the same keys.
+are degree sums in the whole graph, not the subtree.
 
 The recursion runs over breadth-first positions, not vertex ids: root_tree
 numbers the vertices in the order the walk reaches them, so every parent
 sits at a smaller position than its children, and records each position's
-degree and its parent's position.  solve_tree then needs no adjacency: one
-scan from the last position down to 1 folds each finished position into its
-parent's sums, and one scan back up hands each position its state from its
-parent's.  Both read flat lists in position order, which keeps them fast
-when the ids are scattered over the tree.
+degree and its parent's position.  _solve_positions then needs no adjacency:
+one scan from the last position down to the root finishes each position and
+folds it into its parent's sums, and one scan back up hands each position
+its state from its parent's.  Both read flat lists in position order, which
+keeps them fast when the ids are scattered over the tree.  The block-graph
+engine roots its cut tree into the same kind of positions (see
+blockdp.CutTree) and runs the same two scans; a block position adds its own
+three states, and a tree is the case with no block positions.
 """
 
 from __future__ import annotations
@@ -34,24 +36,20 @@ from .graph import Graph
 
 @dataclass(frozen=True)
 class RootedTree:
-    """A tree oriented away from its root, by vertex and by position.
+    """A tree oriented away from its root, as the positions the DP scans.
 
     Position i is the i-th vertex reached by the breadth-first walk from the
     root.  The walk reads each adjacency row in ascending id, so a vertex's
     children take consecutive positions in ascending id, and every parent
     comes before its children.
 
-      parent      parent[v] is v's parent vertex, None at the root;
-      post_order  the vertices by descending position: children first;
-      order       order[i] is the vertex at position i, order[0] the root;
-      degree      degree[i] is the degree of order[i] in the whole tree;
-      up          up[i] is the position of order[i]'s parent, -1 at the root.
+      order   order[i] is the vertex at position i, order[0] the root;
+      degree  degree[i] is the degree of order[i] in the whole tree;
+      up      up[i] is the position of order[i]'s parent, -1 at the root.
     """
 
     graph: Graph
     root: int
-    parent: tuple[int | None, ...]
-    post_order: tuple[int, ...]
     order: tuple[int, ...]
     degree: tuple[int, ...]
     up: tuple[int, ...]
@@ -79,9 +77,8 @@ def root_tree(g: Graph, root: int = 0) -> RootedTree:
     if g.m != n - 1:
         raise DomainError(f"not a tree: {g.m} edges, expected {n - 1}")
     adj = g.adjacency
-    # None marks a vertex not reached yet; the root's entry is reset below
-    parent: list[int | None] = [None] * n
-    parent[root] = root
+    seen = bytearray(n)
+    seen[root] = 1
     order = [root]
     degree = []
     up = [-1]
@@ -90,23 +87,14 @@ def root_tree(g: Graph, root: int = 0) -> RootedTree:
         row = adj[v]
         degree.append(len(row))
         for u in row:
-            if parent[u] is None:
-                parent[u] = v
+            if not seen[u]:
+                seen[u] = 1
                 order.append(u)
                 up.append(i)
     if len(order) != n:
-        w = parent.index(None)
+        w = seen.index(0)
         raise DomainError(f"not a tree: vertex {w} is not reachable from {root}")
-    parent[root] = None
-    return RootedTree(
-        g,
-        root,
-        tuple(parent),
-        tuple(reversed(order)),
-        tuple(order),
-        tuple(degree),
-        tuple(up),
-    )
+    return RootedTree(g, root, tuple(order), tuple(degree), tuple(up))
 
 
 def _keys(g: Graph, objective: str) -> tuple[int, int, int]:
@@ -137,74 +125,139 @@ def _decode(objective: str, key: int, scale: int, selected: list[int]) -> CoverS
 def solve_tree(tree: RootedTree, objective: str) -> CoverSolution:
     """Cover extremum over all minimum dominating sets of the tree.
 
-    Two flat scans over positions, O(n).  The backward scan finishes each
-    position's three keys from its children's sums and folds them into its
-    parent's; the forward scan gives each position its state from its
-    parent's and collects the witness.  Ties between child states break
-    toward IN, then OUT_DOM, then OUT_FREE; swap ties toward the smaller
-    child id, so witnesses are deterministic.  The backward scan meets
-    siblings in descending id, so the swap test takes <= to keep the last,
-    smallest one.
+    The two position scans of _solve_positions with no block positions,
+    O(n).  Ties between child states break toward IN, then OUT_DOM, then
+    OUT_FREE; swap ties toward the smaller child id, so witnesses are
+    deterministic.
     """
-    g = tree.graph
-    sign, scale, inf = _keys(g, objective)
-    n = g.n
-    up = tree.up
-    # per position: sums over the children folded in so far
-    in_k = [scale + sign * d for d in tree.degree]
-    dom_k = [0] * n
-    fr_k = [0] * n
-    best = [inf] * n  # least cost of forcing a child IN; 0 once one already is
-    swap = [-1] * n  # position of that child
-    ch_in = [0] * n  # the position's state when its parent is IN
-    ch_out = [0] * n  # its state when its parent is OUT_DOM and it is no swap
+    return _solve_positions(
+        tree.graph, objective, tree.order, tree.up, tree.degree, bytes(len(tree.order)), ()
+    )
 
-    for c in range(n - 1, 0, -1):
+
+def _solve_positions(g, objective, order, up, degree, is_block, noncut) -> CoverSolution:
+    """Both engines' DP: two flat scans over breadth-first positions.
+
+    Position 0 is the root and up[c] < c is the parent of position c.  A
+    vertex position holds vertex order[c] of degree degree[c], with the tree
+    states IN, OUT_DOM, OUT_FREE as 0, 1, 2.  A block position (is_block[c])
+    holds block order[c]; degree[c] is the degree of its non-cut members,
+    noncut[order[c]] lists them, and its states are (see blockdp)
+    SELECTED, NONE_SAT, NONE_PENDING as 0, 1, 2.  A vertex folds its
+    children by the tree rules whatever they are, so a cut vertex is a tree
+    vertex whose children are blocks.
+
+    The backward scan finishes each position's three keys from its
+    children's sums and folds them into its parent's; the forward scan gives
+    each position its state from its parent's and collects the witness.
+    Children take states in the order 0, 1, 2 on ties.  Siblings sit at
+    consecutive positions in ascending id, so the backward scan meets them
+    in descending id and every swap test takes <= to keep the smallest.
+    """
+    sign, scale, inf = _keys(g, objective)
+    n = len(up)
+    # per position: sums over the children folded in so far; k0 starts at the
+    # cost of selecting the position's own vertex (a block: one non-cut member)
+    k0 = [scale + sign * d for d in degree]
+    k1 = [0] * n  # vertex: children dominated on their own; block: NONE_PENDING
+    k2 = [0] * n  # every child in state 1
+    best = [inf] * n  # least cost of forcing a child to 0; 0 once one already is
+    swap = [-1] * n  # position of that child
+    ch0 = [0] * n  # the position's state when its parent is in state 0
+    ch1 = [0] * n  # its state under a vertex parent in 1, or a block parent in 2
+    # 1 for a block, 2 for a SELECTED block that selects a non-cut member
+    kind = list(is_block)
+
+    for c in range(n - 1, -1, -1):
         # every child of c sits at a larger position, so c's sums are final
-        iu = in_k[c]
-        du = dom_k[c] + best[c]
-        if du > inf:
-            du = inf
-        fu = fr_k[c]
-        if fu > inf:
-            fu = inf
-        p = up[c]
-        # parent IN: child may be anything, a FREE child gets dominated there
-        if iu <= du and iu <= fu:
-            in_k[p] += iu
-        elif du <= fu:
-            in_k[p] += du
-            ch_in[c] = 1
+        if kind[c]:
+            own = k0[c]
+            # SELECTED by option B selects no non-cut member but forces a cut
+            i = own - scale - sign * degree[c] + best[c]
+            if noncut[order[c]]:
+                # option A selects one non-cut member, and NONE_SAT would
+                # leave it undominated
+                d = inf
+                if own <= i:
+                    i = own
+                    kind[c] = 2
+                    swap[c] = -1
+            else:
+                d = min(k2[c], inf)
+            f = k1[c]
         else:
-            in_k[p] += fu
-            ch_in[c] = 2
-        # parent OUT: child must be dominated inside its own subtree
-        if iu <= du:
-            dom_k[p] += iu
+            i = k0[c]
+            d = k1[c] + best[c]
+            if d > inf:
+                d = inf
+            f = k2[c]
+        if f > inf:
+            f = inf
+        if not c:
+            break
+        p = up[c]
+        # parent in state 0 (IN, or SELECTED): the child may be anything
+        if i <= d and i <= f:
+            v = i
+        elif d <= f:
+            v = d
+            ch0[c] = 1
+        else:
+            v = f
+            ch0[c] = 2
+        k0[p] += v
+        k2[p] += d
+        if kind[p]:
+            # SELECTED by option B forces one child cut to 0
+            if v == i:
+                best[p] = 0
+                swap[p] = -1
+            elif i - v <= best[p]:
+                best[p] = i - v
+                swap[p] = c
+            # NONE_PENDING: the child must not be selected
+            if d <= f:
+                k1[p] += d
+                ch1[c] = 1
+            else:
+                k1[p] += f
+                ch1[c] = 2
+        # parent OUT_DOM: the child must be dominated inside its own subtree
+        elif i <= d:
+            k1[p] += i
             best[p] = 0
             swap[p] = -1
         else:
-            dom_k[p] += du
-            ch_out[c] = 1
-            # siblings come in descending id, so <= keeps the smallest on a tie
-            if iu - du <= best[p]:
-                best[p] = iu - du
+            k1[p] += d
+            ch1[c] = 1
+            if i - d <= best[p]:
+                best[p] = i - d
                 swap[p] = c
-        fr_k[p] += du
 
-    root_key = min(in_k[0], dom_k[0] + best[0])
-    # ch_in[c] is read at c alone, so the forward scan overwrites it with c's
-    # state; under an IN parent that state is ch_in[c] and stays in place
-    state = ch_in
-    state[0] = 0 if in_k[0] == root_key else 1
+    # the root has no parent to need it, so it takes state 0 or 1
+    root_key = i if i <= d else d
+    # ch0[c] is read at c alone, so the forward scan overwrites it with c's
+    # state; under a parent in state 0 that state is ch0[c] and stays in place
+    state = ch0
+    state[0] = 0 if i <= d else 1
     for c in range(1, n):
         p = up[c]
         s = state[p]
-        if s == 1:
-            state[c] = 0 if swap[p] == c else ch_out[c]
+        if kind[p]:
+            # SELECTED forces its swap cut only; NONE_SAT has every cut DOMINATED
+            if s == 0 and swap[p] == c:
+                state[c] = 0
+            elif s == 1:
+                state[c] = 1
+            elif s == 2:
+                state[c] = ch1[c]
+        elif s == 1:
+            state[c] = 0 if swap[p] == c else ch1[c]
         elif s == 2:
             state[c] = 1
-    selected = [v for v, s in zip(tree.order, state) if s == 0]
+    selected = [
+        noncut[x][0] if k else x for x, s, k in zip(order, state, kind) if s == 0 and k != 1
+    ]
     return _decode(objective, root_key, scale, selected)
 
 

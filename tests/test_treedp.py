@@ -39,14 +39,17 @@ def reference_solve(tree, objective):
     sign, scale, inf = _keys(g, objective)
     n = g.n
     adj = g.adjacency
-    parent = tree.parent
+    order = tree.order
+    parent = [None] * n
+    for i in range(1, n):
+        parent[order[i]] = order[tree.up[i]]
     in_k = [0] * n
     dom_k = [0] * n
     fr_k = [0] * n
     ch_in = [0] * n
     ch_out = [0] * n
     swap = [-1] * n
-    for v in tree.post_order:
+    for v in reversed(order):
         pv = parent[v]
         row = adj[v]
         k_in = scale + sign * len(row)
@@ -117,22 +120,18 @@ def three_roots(g):
 class TestRooting:
     def test_parent_and_order(self):
         t = root_tree(path(4), 0)
-        assert t.parent == (None, 0, 1, 2)
-        seen = set()
-        for v in t.post_order:
-            assert all(u in seen for u in t.graph.neighbors(v) if u != t.parent[v])
-            seen.add(v)
-        assert seen == {0, 1, 2, 3}
+        assert t.order == (0, 1, 2, 3) and t.up == (-1, 0, 1, 2)
+        t = root_tree(path(4), 2)
+        assert t.order == (2, 1, 3, 0) and t.up == (-1, 0, 0, 1)
         rooted = [root_tree(path(4), 0), root_tree(star(6), 3)]
         rooted += [root_tree(g, r) for g in corpus.random_trees(60, 13) for r in three_roots(g)]
         for t in rooted:
             g, n = t.graph, t.graph.n
             assert t.order[0] == t.root and t.up[0] == -1
             assert sorted(t.order) == list(range(n))
-            assert t.post_order == t.order[::-1]
             for i in range(1, n):
                 assert t.up[i] < i
-                assert t.order[t.up[i]] == t.parent[t.order[i]]
+                assert g.has_edge(t.order[t.up[i]], t.order[i])
             assert t.degree == tuple(g.degree(v) for v in t.order)
             # parents' positions never fall, so siblings are consecutive, in ascending id
             assert list(t.up) == sorted(t.up)
@@ -151,8 +150,12 @@ class TestRooting:
         with pytest.raises(DomainError):
             root_tree(Graph(4, ((0, 1), (2, 3))), 0)
         triangle_plus_isolated = Graph(4, ((0, 1), (0, 2), (1, 2)))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="vertex 3 is not reachable from 0"):
             root_tree(triangle_plus_isolated, 0)
+        # the error names the smallest vertex the walk did not reach
+        edge_plus_triangle = Graph(5, ((0, 1), (2, 3), (2, 4), (3, 4)))
+        with pytest.raises(DomainError, match="vertex 0 is not reachable from 4"):
+            root_tree(edge_plus_triangle, 4)
         with pytest.raises(DomainError):
             root_tree(path(3), 5)
 
