@@ -7,8 +7,12 @@ tuples, so witnesses compare lexicographically and serialize stably.
 
 from __future__ import annotations
 
+import gc
+import re
+from array import array
 from bisect import bisect_left
-from itertools import islice
+from itertools import chain, islice
+from operator import eq
 from typing import Iterable, Iterator
 
 from .errors import DomainError, GraphParseError
@@ -18,33 +22,53 @@ class Graph:
     """Immutable simple undirected graph.
 
     Construction validates everything once: ids in range, no self-loops, no
-    duplicate edges.  Edges may come from any iterable, and an error names
-    the first bad edge in input order.  Adjacency lists are kept sorted
-    ascending so iteration order is deterministic everywhere downstream.
+    duplicate edges.  Edges may come from any iterable of pairs, or from an
+    array('q') of flat endpoints u0, v0, u1, v1, ... (the form parse_graph
+    hands over); pairs are first flattened into such an array, so both take
+    one build path.  Range and self-loop checks run over the flat array in
+    C (min, max and map(eq, ...)), and a repeated edge shows up as a
+    repeated neighbour in a sorted row.  An error names the first bad edge
+    in input order.
+
+    Adjacency rows are tuples kept sorted ascending, so iteration order is
+    deterministic everywhere downstream.  Every row entry naming vertex v is
+    the same int object, taken from one list(range(n)), so the rows hold n
+    ints rather than 2m.  The cyclic garbage collector is paused while the
+    rows are built: they are acyclic tuples of ints, so a collection then
+    could free nothing, and at 10^6 rows it would rescan them again and
+    again.  It is re-enabled on exit only if it was enabled on entry, and
+    the young collection the new rows made due then runs before the
+    constructor returns.
     """
 
     __slots__ = ("n", "_m", "_adj", "_closed", "_open")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] | array = ()):
         if n < 0:
             raise DomainError("vertex count must be non-negative")
-        if not isinstance(edges, (list, tuple)):
-            edges = list(edges)
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n) or u == v:
-                raise DomainError(_first_rejected_edge(n, edges)[1])
-            adj[u].append(v)
-            adj[v].append(u)
-        for row in adj:
-            # A repeated edge shows up as a repeated neighbour.
-            if len(row) > 1:
-                row.sort()
-                if len(set(row)) != len(row):
-                    raise DomainError(_first_rejected_edge(n, edges)[1])
+        if isinstance(edges, array):
+            if len(edges) % 2:
+                raise ValueError("flat endpoint array has odd length")
+            ends = edges
+        else:
+            ends = _endpoints(n, edges)
+        if ends and (min(ends) < 0 or max(ends) >= n or any(map(eq, ends[::2], ends[1::2]))):
+            raise DomainError(_first_rejected_edge(n, _pairs(ends))[1])
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            adj = _rows(n, ends)
+        finally:
+            if collecting:
+                gc.enable()
+        # The new rows leave a young collection due.  Run it here, so that it
+        # is charged to the build and not to the caller's next allocation.
+        threshold = gc.get_threshold()[0]
+        if collecting and 0 < threshold < gc.get_count()[0]:
+            gc.collect(0)
         self.n = n
-        self._m = len(edges)
-        self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
+        self._m = len(ends) // 2
+        self._adj: tuple[tuple[int, ...], ...] = adj
         self._closed: list[int] | None = None
         self._open: list[int] | None = None
 
@@ -116,7 +140,49 @@ class Graph:
         return f"Graph(n={self.n}, m={self._m})"
 
 
-def _first_rejected_edge(n: int, edges: list[tuple[int, int]]) -> tuple[int, str] | None:
+def _endpoints(n: int, edges: Iterable[tuple[int, int]]) -> array:
+    """The flat endpoint array u0, v0, u1, v1, ... of an iterable of pairs.
+
+    An edge that is not a pair raises ValueError.  An id beyond the 64-bit
+    range of the array is out of range for any n, so it raises the
+    DomainError that names the first rejected edge.
+    """
+    if not isinstance(edges, (list, tuple)):
+        edges = list(edges)
+    if not set(map(len, edges)) <= {2}:
+        bad = next(e for e in edges if len(e) != 2)
+        raise ValueError(f"edge {tuple(bad)} is not a pair")
+    try:
+        return array("q", chain.from_iterable(edges))
+    except OverflowError:
+        raise DomainError(_first_rejected_edge(n, edges)[1]) from None
+
+
+def _pairs(ends: array) -> Iterator[tuple[int, int]]:
+    it = iter(ends)
+    return zip(it, it)
+
+
+def _rows(n: int, ends: array) -> tuple[tuple[int, ...], ...]:
+    """Sorted adjacency rows of checked flat endpoints; every entry naming
+    vertex v is ids[v].  A repeated edge raises DomainError."""
+    ids = list(range(n))
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in _pairs(ends):
+        adj[u].append(ids[v])
+        adj[v].append(ids[u])
+    for row in adj:
+        # A repeated edge shows up as a repeated neighbour.
+        if len(row) > 1:
+            row.sort()
+            if len(set(row)) != len(row):
+                raise DomainError(_first_rejected_edge(n, _pairs(ends))[1])
+    # All tuples at once, after the lists: the lists' memory is then freed
+    # whole instead of left in fragments between the tuples.
+    return tuple(map(tuple, adj))
+
+
+def _first_rejected_edge(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, str] | None:
     """Position and message of the first edge, in input order, that Graph
     rejects: out of range, a self-loop, or a repeat of an earlier edge in
     either orientation.  None when every edge is valid.
@@ -157,6 +223,13 @@ def as_vertex_set(g: Graph, vertices: Iterable[int]) -> tuple[int, ...]:
 # Edge-list text format
 
 
+# One line of write_graph's shape: two ASCII decimal fields, spaces or tabs
+# only, ending in "\n".  At most 18 digits keeps every id below 2^63, the
+# range of array('q').
+_LINES = re.compile(r"(?:[ \t]*[0-9]{1,18}[ \t]+[0-9]{1,18}[ \t]*\n)*")
+_CHUNK = 1 << 20  # characters tokenized at a time
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list format.
 
@@ -168,7 +241,48 @@ def parse_graph(text: str) -> Graph:
     duplicates in either orientation), and the parser names the line of the
     edge it rejects.  Every error is a GraphParseError naming the 1-based
     line number, and the first bad line wins whatever the kind of error.
+
+    Text in write_graph's shape (every line, the header included, two ASCII
+    decimal fields separated by spaces or tabs and ending in "\n", and
+    exactly m edge lines) is tokenized about 1 MB at a time, cut at
+    newlines, straight into one array('q') of endpoints that Graph takes as
+    it is: no string per line and no tuple per edge is kept.  Any other
+    text (comments, blank lines, CRs, other digits or signs, a wrong line
+    count), and any text whose edges Graph rejects, goes through the
+    per-line loop, which owns every error message.
     """
+    flat = _flat_endpoints(text)
+    if flat is not None:
+        n, ends = flat
+        try:
+            return Graph(n, ends)
+        except DomainError:
+            pass  # the per-line loop names the rejected edge's line
+    return _parse_lines(text)
+
+
+def _flat_endpoints(text: str) -> tuple[int, array] | None:
+    """n and the flat endpoint array of text in write_graph's shape; None
+    for any other text."""
+    ends = array("q")
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + _CHUNK) + 1 or len(text)
+        chunk = text[start:stop]
+        if not _LINES.fullmatch(chunk):
+            return None
+        ends.extend(map(int, chunk.split()))
+        start = stop
+    # The header "n m" heads the array, and m edges must follow it.
+    if len(ends) < 2 or len(ends) != 2 + 2 * ends[1]:
+        return None
+    n = ends[0]
+    del ends[:2]
+    return n, ends
+
+
+def _parse_lines(text: str) -> Graph:
+    """parse_graph line by line: any text, and every error message."""
     lines = text.splitlines()
     n = m = -1  # until the header is read
     edges: list[tuple[int, int]] = []

@@ -1,7 +1,8 @@
+import gc
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus
@@ -22,9 +23,11 @@ from domcover import (
     parse_graph,
     path,
     private_neighbors,
+    random_tree,
     star,
     write_graph,
 )
+from domcover import graph as graph_module
 from domcover.graph import first_unreachable
 
 
@@ -38,6 +41,143 @@ def graphs(max_n=8):
         return Graph(n, tuple(picked))
 
     return st.composite(build)()
+
+
+PARSE_ERROR_CASES = [
+    ("", "line 1: missing header"),
+    ("3\n", "line 1: expected two fields"),
+    ("a 2\n", "line 1: non-integer"),
+    ("-1 0\n", "line 1: negative count"),
+    ("3 1\n0 1\n1 2\n", "line 3: more than 1 edge lines"),
+    ("3 2\n0 1\n", "expected 2 edge lines, found 1"),
+    ("3 1\n0 3\n", "line 2: vertex id 3 out of range"),
+    ("3 1\n1 1\n", "line 2: self-loop at vertex 1"),
+    ("3 2\n0 1\n1 0\n", "line 3: duplicate edge (0, 1)"),
+    ("2 1\n0 1 2\n", "line 2: expected two fields"),
+    ("2 1\n0 x\n", "line 2: non-integer"),
+    # the first bad line wins, whatever the kind of error
+    ("3 3\n0 1\n1 0\n0 x\n", "line 3: duplicate edge (0, 1)"),
+    ("3 1\n0 3\n0 1\n", "line 2: vertex id 3 out of range"),
+    ("3 2\n1 1\n0 1 2\n", "line 2: self-loop at vertex 1"),
+]
+
+
+def reference_parse(text):
+    """parse_graph as one loop over splitlines(), with its own check of the
+    edges: the per-line form that the flat-array path must agree with."""
+    lines = text.splitlines()
+    n = m = -1  # until the header is read
+    edges = []
+    for lineno, raw in enumerate(lines, 1):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
+            continue
+        if len(parts) != 2:
+            raise _reference_edge_error(lines, n, edges) or GraphParseError(
+                f"line {lineno}: expected two fields, got {len(parts)}"
+            )
+        try:
+            edge = (int(parts[0]), int(parts[1]))
+        except ValueError:
+            raise _reference_edge_error(lines, n, edges) or GraphParseError(
+                f"line {lineno}: non-integer field"
+            ) from None
+        if m < 0:
+            if edge[0] < 0 or edge[1] < 0:
+                raise GraphParseError(f"line {lineno}: negative count in header")
+            n, m = edge
+        elif len(edges) == m:
+            raise _reference_edge_error(lines, n, edges) or GraphParseError(
+                f"line {lineno}: more than {m} edge lines"
+            )
+        else:
+            edges.append(edge)
+    if m < 0:
+        raise GraphParseError("line 1: missing header")
+    if len(edges) != m:
+        raise _reference_edge_error(lines, n, edges) or GraphParseError(
+            f"line {len(lines)}: expected {m} edge lines, found {len(edges)}"
+        )
+    error = _reference_edge_error(lines, n, edges)
+    if error is not None:
+        raise error
+    return Graph(n, edges)
+
+
+def _reference_edge_error(lines, n, edges):
+    """The error for the first edge that is out of range, a self-loop or a
+    repeat, on its own line; None when there is none."""
+    content = [k for k, raw in enumerate(lines, 1) if (parts := raw.split()) and parts[0][0] != "#"]
+    seen = set()
+    for i, (u, v) in enumerate(edges):
+        if not (0 <= u < n and 0 <= v < n):
+            reason = f"vertex id {u if not 0 <= u < n else v} out of range for n={n}"
+        elif u == v:
+            reason = f"self-loop at vertex {u}"
+        elif (min(u, v), max(u, v)) in seen:
+            reason = f"duplicate edge ({min(u, v)}, {max(u, v)})"
+        else:
+            seen.add((min(u, v), max(u, v)))
+            continue
+        return GraphParseError(f"line {content[i + 1]}: {reason}")
+    return None
+
+
+def parse_outcome(parse, text):
+    """The graph parse returns, or the text of the GraphParseError it raises."""
+    try:
+        return parse(text)
+    except GraphParseError as exc:
+        return f"GraphParseError: {exc}"
+
+
+# Value-preserving rewrites of one field ("7" -> ...): leading zeros, a sign,
+# Arabic-Indic and fullwidth digits; int() reads each back as the same id.
+FIELD_REWRITES = (
+    lambda f: "00" + f,
+    lambda f: "+" + f,
+    lambda f: f.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+    lambda f: f.translate(str.maketrans("0123456789", "０１２３４５６７８９")),
+)
+
+
+@st.composite
+def perturbed_texts(draw):
+    """write_graph output of a small graph with a few of the edits the
+    flat-array path must hand over to the per-line loop, or read alike."""
+    lines = write_graph(draw(graphs(max_n=7))).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from((
+            "comment", "blank", "field", "tab", "big id", "drop line", "extra line",
+        )))
+        i = draw(st.integers(0, len(lines) - 1))
+        # Edits that change a value or drop a line leave the header alone:
+        # a header n of 2^63 would ask for 2^63 rows.
+        header = next(k for k, line in enumerate(lines) if line.split() and line.split()[0][0] != "#")
+        if kind == "comment":
+            lines.insert(i, "# a comment 1 2")
+        elif kind == "blank":
+            lines.insert(i, draw(st.sampled_from(("", "  ", "\t"))))
+        elif kind == "tab":
+            lines[i] = lines[i].replace(" ", draw(st.sampled_from(("\t", " \t ", "  "))))
+        elif kind == "field":
+            parts = lines[i].split()
+            if parts and parts[0][0] != "#":
+                j = draw(st.integers(0, len(parts) - 1))
+                parts[j] = draw(st.sampled_from(FIELD_REWRITES))(parts[j])
+                lines[i] = " ".join(parts)
+        elif kind == "big id" and i > header:
+            parts = lines[i].split()
+            if len(parts) == 2:
+                parts[draw(st.integers(0, 1))] = str(2**63 + draw(st.integers(-1, 2**70)))
+                lines[i] = " ".join(parts)
+        elif kind == "drop line" and i > header:
+            del lines[i]
+        elif kind == "extra line":
+            lines.append(draw(st.sampled_from(("0 1", "1 0", "0 0", "0 9"))))
+    ending = draw(st.sampled_from(("\n", "\r\n", "\r")))
+    text = ending.join(lines)
+    return text + ending if draw(st.booleans()) else text
 
 
 class TestConstruction:
@@ -69,6 +209,16 @@ class TestConstruction:
         with pytest.raises(DomainError, match=r"^self-loop at vertex 2$"):
             Graph(4, [(0, 1), (2, 2), (1, 0)])
 
+    def test_ids_beyond_64_bits_and_non_pairs(self):
+        with pytest.raises(DomainError, match=r"^edge \(0, 1180591620717411303424\) out of range for n=3$"):
+            Graph(3, [(0, 2**70)])
+        with pytest.raises(DomainError, match=r"^duplicate edge \(0, 1\)$"):
+            Graph(3, [(0, 1), (1, 0), (0, -(2**70))])
+        with pytest.raises(ValueError):
+            Graph(3, [(0, 1, 2)])
+        with pytest.raises(ValueError):
+            Graph(3, [(0, 1), (1,)])
+
     def test_accepts_any_iterable(self):
         g = Graph(4, ((i, i + 1) for i in range(3)))
         assert g == path(4) and g.m == 3
@@ -93,30 +243,97 @@ class TestParse:
         g = parse_graph("  3 2 \n\n0 1\n\n 1 2 \n")
         assert g == path(3)
 
-    @pytest.mark.parametrize(
-        "text, fragment",
-        [
-            ("", "line 1: missing header"),
-            ("3\n", "line 1: expected two fields"),
-            ("a 2\n", "line 1: non-integer"),
-            ("-1 0\n", "line 1: negative count"),
-            ("3 1\n0 1\n1 2\n", "line 3: more than 1 edge lines"),
-            ("3 2\n0 1\n", "expected 2 edge lines, found 1"),
-            ("3 1\n0 3\n", "line 2: vertex id 3 out of range"),
-            ("3 1\n1 1\n", "line 2: self-loop at vertex 1"),
-            ("3 2\n0 1\n1 0\n", "line 3: duplicate edge (0, 1)"),
-            ("2 1\n0 1 2\n", "line 2: expected two fields"),
-            ("2 1\n0 x\n", "line 2: non-integer"),
-            # the first bad line wins, whatever the kind of error
-            ("3 3\n0 1\n1 0\n0 x\n", "line 3: duplicate edge (0, 1)"),
-            ("3 1\n0 3\n0 1\n", "line 2: vertex id 3 out of range"),
-            ("3 2\n1 1\n0 1 2\n", "line 2: self-loop at vertex 1"),
-        ],
-    )
+    @pytest.mark.parametrize("text, fragment", PARSE_ERROR_CASES)
     def test_parse_errors_name_the_line(self, text, fragment):
         with pytest.raises(GraphParseError) as exc:
             parse_graph(text)
         assert fragment in str(exc.value)
+
+    @pytest.mark.parametrize("text, fragment", PARSE_ERROR_CASES)
+    def test_matches_reference_on_error_cases(self, text, fragment):
+        assert parse_outcome(parse_graph, text) == parse_outcome(reference_parse, text)
+
+    @given(graphs())
+    def test_matches_reference_on_written_graphs(self, g):
+        text = write_graph(g)
+        assert parse_outcome(parse_graph, text) == parse_outcome(reference_parse, text) == g
+
+    @settings(deadline=None, max_examples=300)
+    @given(perturbed_texts())
+    def test_matches_reference_on_perturbed_texts(self, text):
+        assert parse_outcome(parse_graph, text) == parse_outcome(reference_parse, text)
+
+    @settings(deadline=None, max_examples=100)
+    @given(perturbed_texts(), st.integers(1, 12))
+    def test_matches_reference_across_chunk_cuts(self, text, chunk):
+        # Tiny chunks cut every few lines, so the cuts meet every edit.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graph_module, "_CHUNK", chunk)
+            assert parse_outcome(parse_graph, text) == parse_outcome(reference_parse, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "3 1\n0 9223372036854775808\n",
+            "3 1\n0 999999999999999999\n",
+            "3 1\n0 0000000000000000000000001\n",
+            "3 99999999999999999999\n0 1\n",
+            "3 1\n0 1",
+            "3 1\r\n0 1\r\n",
+            "3 1\n0\t1\n",
+            "3 1\n0 1_0\n",
+            "3 1\n0 1\x0c\n",
+            "3 1\n0 1\n\n",
+            "# c\n3 1\n0 1\n",
+            "3 0\n",
+            "0 0\n",
+        ],
+    )
+    def test_matches_reference_at_the_edges_of_the_format(self, text):
+        assert parse_outcome(parse_graph, text) == parse_outcome(reference_parse, text)
+
+    def test_id_beyond_64_bits_names_its_line(self):
+        with pytest.raises(GraphParseError, match=r"^line 2: vertex id 9223372036854775808 out of range for n=3$"):
+            parse_graph("3 1\n0 9223372036854775808\n")
+
+
+class TestMemoryShape:
+    def test_rows_share_one_int_per_vertex(self):
+        g = random_tree(3000, 1)
+        for h in (g, parse_graph(write_graph(g)), Graph(g.n, [(int(str(u)), int(str(v))) for u, v in g.edges()])):
+            assert h == g
+            assert len({id(x) for row in h.adjacency for x in row}) == h.n
+
+    def test_shared_ints_skip_isolated_vertices(self):
+        g = Graph(1000, [(300, 700), (700, 999), (300, 999)])
+        assert len({id(x) for row in g.adjacency for x in row}) == 3
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_is_restored(self, enabled):
+        builds = [
+            lambda: Graph(500, [(i, i + 1) for i in range(499)]),
+            lambda: parse_graph(write_graph(path(500))),
+            # enough new rows to leave a young collection due
+            lambda: parse_graph(write_graph(random_tree(20000, 2))),
+        ]
+        failures = [
+            (DomainError, lambda: Graph(500, [(0, 1), (1, 0)])),
+            (DomainError, lambda: Graph(500, [(0, 1), (0, 500)])),
+            (GraphParseError, lambda: parse_graph("500 2\n0 1\n1 0\n")),
+            (GraphParseError, lambda: parse_graph("500 1\n0 500\n")),
+        ]
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            for build in builds:
+                build()
+                assert gc.isenabled() is enabled
+            for error, build in failures:
+                with pytest.raises(error):
+                    build()
+                assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 class TestPredicates:
