@@ -112,12 +112,13 @@ def _load_graph(args: argparse.Namespace, suffix: str = "") -> tuple[Graph, dict
     if (path is None) == (family is None):
         raise _UsageError(f"exactly one of {flag} is required")
     if path is not None:
+        # parse_graph reads the file in pieces, so a read error or bad UTF-8
+        # can surface anywhere in it
         try:
             with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
+                return parse_graph(fh), {"path": path}
+        except (OSError, UnicodeDecodeError) as exc:
             raise DomainError(f"cannot read {path}: {exc}") from None
-        return parse_graph(text), {"path": path}
     spec = FamilySpec(family, params, seed)
     return generate(spec), {"family": family, "params": params, "seed": seed}
 

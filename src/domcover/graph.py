@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import gc
 import re
+import sys
 from array import array
 from bisect import bisect_left
 from itertools import chain, islice
 from operator import eq
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
-from .errors import DomainError, GraphParseError
+from .errors import CapacityError, DomainError, GraphParseError
 
 
 class Graph:
@@ -39,13 +40,27 @@ class Graph:
     again.  It is re-enabled on exit only if it was enabled on entry, and
     the young collection the new rows made due then runs before the
     constructor returns.
+
+    The build never changes an array it is given, except through the
+    private keyword _consume, by which parse_graph hands over an array of
+    its own.  Such an array, like the one pairs are flattened into, is
+    emptied once the rows are checked and before they become tuples, so
+    the endpoints and the tuples are never held at once.
+
+    An n too large to build raises CapacityError naming n, before any edge
+    is checked when n is above sys.maxsize, and otherwise when the rows do
+    not fit in memory.
     """
 
     __slots__ = ("n", "_m", "_adj", "_closed", "_open")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] | array = ()):
+    def __init__(
+        self, n: int, edges: Iterable[tuple[int, int]] | array = (), *, _consume: bool = False
+    ):
         if n < 0:
             raise DomainError("vertex count must be non-negative")
+        if n > sys.maxsize:
+            raise CapacityError(f"n={n} exceeds the vertex limit of {sys.maxsize}")
         if isinstance(edges, array):
             if len(edges) % 2:
                 raise ValueError("flat endpoint array has odd length")
@@ -54,10 +69,14 @@ class Graph:
             ends = _endpoints(n, edges)
         if ends and (min(ends) < 0 or max(ends) >= n or any(map(eq, ends[::2], ends[1::2]))):
             raise DomainError(_first_rejected_edge(n, _pairs(ends))[1])
+        # m first: _rows may empty the array
+        self._m = len(ends) // 2
         collecting = gc.isenabled()
         gc.disable()
         try:
-            adj = _rows(n, ends)
+            adj = _rows(n, ends, _consume or ends is not edges)
+        except MemoryError:
+            raise CapacityError(f"n={n} vertices do not fit in memory") from None
         finally:
             if collecting:
                 gc.enable()
@@ -67,7 +86,6 @@ class Graph:
         if collecting and 0 < threshold < gc.get_count()[0]:
             gc.collect(0)
         self.n = n
-        self._m = len(ends) // 2
         self._adj: tuple[tuple[int, ...], ...] = adj
         self._closed: list[int] | None = None
         self._open: list[int] | None = None
@@ -163,20 +181,24 @@ def _pairs(ends: array) -> Iterator[tuple[int, int]]:
     return zip(it, it)
 
 
-def _rows(n: int, ends: array) -> tuple[tuple[int, ...], ...]:
+def _rows(n: int, ends: array, consume: bool) -> tuple[tuple[int, ...], ...]:
     """Sorted adjacency rows of checked flat endpoints; every entry naming
-    vertex v is ids[v].  A repeated edge raises DomainError."""
+    vertex v is ids[v].  A repeated edge raises DomainError.  With consume,
+    ends is emptied once the rows are checked."""
     ids = list(range(n))
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in _pairs(ends):
         adj[u].append(ids[v])
         adj[v].append(ids[u])
+    del ids  # the rows hold every int they need
     for row in adj:
         # A repeated edge shows up as a repeated neighbour.
         if len(row) > 1:
             row.sort()
             if len(set(row)) != len(row):
                 raise DomainError(_first_rejected_edge(n, _pairs(ends))[1])
+    if consume:
+        del ends[:]
     # All tuples at once, after the lists: the lists' memory is then freed
     # whole instead of left in fragments between the tuples.
     return tuple(map(tuple, adj))
@@ -227,11 +249,11 @@ def as_vertex_set(g: Graph, vertices: Iterable[int]) -> tuple[int, ...]:
 # only, ending in "\n".  At most 18 digits keeps every id below 2^63, the
 # range of array('q').
 _LINES = re.compile(r"(?:[ \t]*[0-9]{1,18}[ \t]+[0-9]{1,18}[ \t]*\n)*")
-_CHUNK = 1 << 20  # characters tokenized at a time
+_CHUNK = 1 << 16  # characters read or sliced at a time
 
 
-def parse_graph(text: str) -> Graph:
-    """Parse the edge-list format.
+def parse_graph(source: str | TextIO) -> Graph:
+    """Parse the edge-list format from a string or an open text file.
 
     The first non-comment line is the header "n m"; exactly m lines "u v"
     follow.  Lines starting with "#" are comments and blank lines are
@@ -244,37 +266,60 @@ def parse_graph(text: str) -> Graph:
 
     Text in write_graph's shape (every line, the header included, two ASCII
     decimal fields separated by spaces or tabs and ending in "\n", and
-    exactly m edge lines) is tokenized about 1 MB at a time, cut at
-    newlines, straight into one array('q') of endpoints that Graph takes as
-    it is: no string per line and no tuple per edge is kept.  Any other
-    text (comments, blank lines, CRs, other digits or signs, a wrong line
-    count), and any text whose edges Graph rejects, goes through the
-    per-line loop, which owns every error message.
+    exactly m edge lines) is tokenized straight into one array('q') of
+    endpoints, which Graph takes over: no string per line and no tuple per
+    edge is kept.  One loop tokenizes pieces of 64 KB, slices of a string or
+    reads from a file, cut at newlines, so a file in this shape is never
+    held whole.  The pieces are small because matching a large one grows
+    the regex engine's backtracking stack, and that memory stays with the
+    process: 1 MB pieces left about 27 MB more resident.
+
+    Any other text (comments, blank lines, CRs, other digits or signs, a
+    wrong line count), and any text whose edges Graph rejects, goes through
+    the per-line loop, which owns every error message.  A file is then read
+    again from where parsing started; a file that cannot seek is read whole
+    first.
     """
-    flat = _flat_endpoints(text)
+    if not isinstance(source, str) and not source.seekable():
+        source = source.read()
+    start = None if isinstance(source, str) else source.tell()
+    flat = _flat_endpoints(source)
     if flat is not None:
         n, ends = flat
         try:
-            return Graph(n, ends)
+            return Graph(n, ends, _consume=True)
         except DomainError:
             pass  # the per-line loop names the rejected edge's line
-    return _parse_lines(text)
+    if start is not None:
+        source.seek(start)
+        source = source.read()
+    return _parse_lines(source)
 
 
-def _flat_endpoints(text: str) -> tuple[int, array] | None:
+def _pieces(source: str | TextIO) -> Iterator[str]:
+    """The source _CHUNK characters at a time."""
+    if isinstance(source, str):
+        return (source[i:i + _CHUNK] for i in range(0, len(source), _CHUNK))
+    return iter(lambda: source.read(_CHUNK), "")
+
+
+def _flat_endpoints(source: str | TextIO) -> tuple[int, array] | None:
     """n and the flat endpoint array of text in write_graph's shape; None
     for any other text."""
     ends = array("q")
-    start = 0
-    while start < len(text):
-        stop = text.find("\n", start + _CHUNK) + 1 or len(text)
-        chunk = text[start:stop]
+    rest = ""  # the unfinished line the pieces so far end in
+    for piece in _pieces(source):
+        cut = piece.rfind("\n") + 1
+        if not cut:
+            rest += piece
+            continue
+        chunk = rest + piece[:cut]
+        rest = piece[cut:]
         if not _LINES.fullmatch(chunk):
             return None
         ends.extend(map(int, chunk.split()))
-        start = stop
     # The header "n m" heads the array, and m edges must follow it.
-    if len(ends) < 2 or len(ends) != 2 + 2 * ends[1]:
+    if rest or len(ends) < 2 or len(ends) != 2 + 2 * ends[1]:
         return None
     n = ends[0]
     del ends[:2]

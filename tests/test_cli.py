@@ -135,6 +135,42 @@ class TestFilesAndRoundTrip:
         assert "line 2" in err
 
 
+class TestUnreadableInput:
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path):
+        f = tmp_path / "bad.txt"
+        f.write_bytes(b"2 1\n0 1\n\xff\n")
+        code, out, err = run_cli(capsys, "gamma", "--input", str(f))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read {f}: 'utf-8' codec can't decode byte 0xff")
+
+    def test_header_beyond_the_list_limit_exits_3(self, capsys, tmp_path):
+        f = tmp_path / "huge.txt"
+        f.write_text("99999999999999999999 0\n")
+        code, out, err = run_cli(capsys, "gamma", "--input", str(f))
+        assert code == 3 and out == ""
+        assert "n=99999999999999999999" in err
+
+    def test_header_beyond_memory_exits_3(self, src_env, tmp_path):
+        # 10^13 rows cannot be allocated; the child caps its own address
+        # space so that the failed allocation cannot touch real memory.
+        f = tmp_path / "huge.txt"
+        f.write_text("10000000000000 0\n")
+        child = (
+            "import resource, sys\n"
+            "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+            "cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+            "from domcover.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", child, "gamma", "--input", str(f)],
+            capture_output=True, text=True, env=src_env, timeout=60,
+        )
+        assert run.returncode == 3 and run.stdout == ""
+        assert "n=10000000000000" in run.stderr
+
+
 class TestErrorExits:
     def test_domain_errors_exit_2(self, capsys):
         assert run_cli(capsys, "gamma", "--family", "nope", "--params", "n=3")[0] == 2

@@ -1,4 +1,6 @@
 import gc
+import io
+from array import array
 from itertools import combinations
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 import corpus
 from domcover import (
+    CapacityError,
     DomainError,
     Graph,
     GraphParseError,
@@ -297,7 +300,101 @@ class TestParse:
             parse_graph("3 1\n0 9223372036854775808\n")
 
 
+class Unseekable(io.StringIO):
+    """A text file that can only be read forward, like a pipe."""
+
+    def seekable(self):
+        return False
+
+    def seek(self, *args):
+        raise io.UnsupportedOperation("seek")
+
+    def tell(self):
+        raise io.UnsupportedOperation("tell")
+
+
+def from_file(text):
+    return parse_graph(io.StringIO(text))
+
+
+class TestParseFile:
+    """parse_graph on open text files agrees with reference_parse on text."""
+
+    @pytest.mark.parametrize("text, fragment", PARSE_ERROR_CASES)
+    def test_matches_reference_on_error_cases(self, text, fragment):
+        assert parse_outcome(from_file, text) == parse_outcome(reference_parse, text)
+
+    @given(graphs())
+    def test_matches_reference_on_written_graphs(self, g):
+        text = write_graph(g)
+        assert parse_outcome(from_file, text) == parse_outcome(reference_parse, text) == g
+
+    @settings(deadline=None, max_examples=200)
+    @given(perturbed_texts())
+    def test_matches_reference_on_perturbed_texts(self, text):
+        assert parse_outcome(from_file, text) == parse_outcome(reference_parse, text)
+
+    @settings(deadline=None, max_examples=100)
+    @given(perturbed_texts(), st.integers(1, 12))
+    def test_matches_reference_across_read_cuts(self, text, chunk):
+        # Tiny reads end mid-line, so the carried line meets every edit.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graph_module, "_CHUNK", chunk)
+            assert parse_outcome(from_file, text) == parse_outcome(reference_parse, text)
+
+    @settings(deadline=None, max_examples=100)
+    @given(perturbed_texts())
+    def test_unseekable_file_is_read_whole(self, text):
+        outcome = parse_outcome(lambda t: parse_graph(Unseekable(t)), text)
+        assert outcome == parse_outcome(reference_parse, text)
+
+    @settings(deadline=None, max_examples=100)
+    @given(perturbed_texts())
+    def test_fallback_rereads_from_the_starting_position(self, text):
+        # The per-line loop rereads the file from where the parse began,
+        # not from its first byte.
+        def after_preamble(t):
+            fh = io.StringIO("preamble 1 2 3\n" + t)
+            fh.readline()
+            return parse_graph(fh)
+
+        assert parse_outcome(after_preamble, text) == parse_outcome(reference_parse, text)
+
+    def test_disk_file_reads_alike(self, tmp_path):
+        # A real text file seeks by opaque cookies, not by character counts.
+        g = random_tree(3000, 4)
+        f = tmp_path / "g.txt"
+        for text in (write_graph(g), "# a comment\n" + write_graph(g)):
+            f.write_text(text, encoding="utf-8")
+            with open(f, encoding="utf-8") as fh:
+                assert parse_graph(fh) == g
+
+
+class TestHugeHeader:
+    def test_beyond_the_list_limit_fails_before_allocating(self):
+        with pytest.raises(CapacityError, match=r"^n=100000000000000000000 exceeds the vertex limit"):
+            Graph(10**20)
+        for parse in (parse_graph, from_file):
+            with pytest.raises(CapacityError, match=r"^n=99999999999999999999 "):
+                parse("99999999999999999999 0\n")
+
+
 class TestMemoryShape:
+    def test_caller_array_is_never_changed(self):
+        ends = array("q", [0, 1, 1, 2, 2, 3])
+        g = Graph(4, ends)
+        assert ends == array("q", [0, 1, 1, 2, 2, 3])
+        assert g == path(4) and g.m == 3
+
+    def test_parser_array_is_emptied_after_m_is_taken(self):
+        ends = array("q", [0, 1, 1, 2, 2, 3])
+        g = Graph(4, ends, _consume=True)
+        assert len(ends) == 0
+        assert g == path(4) and g.m == 3
+        for parse in (parse_graph, from_file):
+            h = parse(write_graph(random_tree(500, 3)))
+            assert h == random_tree(500, 3) and h.m == 499
+
     def test_rows_share_one_int_per_vertex(self):
         g = random_tree(3000, 1)
         for h in (g, parse_graph(write_graph(g)), Graph(g.n, [(int(str(u)), int(str(v))) for u, v in g.edges()])):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 import corpus
@@ -10,6 +12,7 @@ from domcover import (
     gamma,
     is_dominating,
     path,
+    random_tree,
     root_tree,
     solve_tree,
     star,
@@ -237,3 +240,23 @@ class TestReport:
         for k in (50, 333):
             size, lo, hi = dp(path(3 * k))
             assert (size, lo, hi) == (k, 2 * k, 2 * k)
+
+
+@pytest.fixture(scope="module", params=["path", "random_tree"])
+def big_tree(request):
+    g = path(10**5) if request.param == "path" else random_tree(10**5, 1)
+    return root_tree(g, 0)
+
+
+class TestMemoryShape:
+    @pytest.mark.parametrize("objective", ["min", "max"])
+    def test_solve_holds_at_most_96_bytes_per_position(self, big_tree, objective):
+        # Keeping every position's sums to the end of the scan took 141 B or
+        # more per position on these trees.
+        tracemalloc.start()
+        try:
+            solve_tree(big_tree, objective)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 96 * len(big_tree.order)
