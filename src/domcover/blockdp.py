@@ -26,6 +26,7 @@ non-cut selected" is a single option and the witness takes the smallest id.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -41,10 +42,12 @@ class CutTree:
     blocks[i].  The rooting is a breadth-first walk from block 0 that reads
     a block's members and a cut vertex's blocks in ascending order, so
     siblings take consecutive positions in ascending id, and every parent
-    comes before its children:
+    comes before its children.  The positions are flat arrays, of the
+    graph's own int type (see treedp.RootedTree):
 
       order     order[i] is the block index or vertex id at position i;
-      is_block  is_block[i] tells which;
+      is_block  is_block[i] is 1 for a block and 0 for a cut vertex, in an
+                array('b') that the DP copies into its bytearray of kinds;
       up        up[i] is the position of i's parent, -1 at the root block;
       degree    degree[i] is the degree of the cut vertex at i, or of each
                 non-cut member of the block at i.
@@ -54,10 +57,10 @@ class CutTree:
     blocks: tuple[tuple[int, ...], ...]
     cut_vertices: tuple[int, ...]
     noncut_members: tuple[tuple[int, ...], ...]
-    order: tuple[int, ...]
-    is_block: tuple[bool, ...]
-    up: tuple[int, ...]
-    degree: tuple[int, ...]
+    order: array
+    is_block: array
+    up: array
+    degree: array
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """(block index, cut vertex) pairs, lexicographic."""
@@ -73,7 +76,6 @@ def build_cut_tree(g: Graph) -> CutTree:
     blocks, cuts = blocks_and_cut_vertices(g)
     if not blocks_are_cliques(g, blocks):
         raise DomainError("not a block graph: some block is not a clique")
-    adj = g.adjacency
     is_cut = bytearray(g.n)
     for v in cuts:
         is_cut[v] = 1
@@ -84,10 +86,11 @@ def build_cut_tree(g: Graph) -> CutTree:
             if is_cut[v]:
                 blocks_of_cut[v].append(i)
 
-    order = [0]
-    is_block = [True]
-    up = [-1]
-    # the list iterator reads the length afresh, so it walks the growing queue
+    code = g._targets.typecode
+    order = array(code, [0])
+    is_block = array("b", [1])
+    up = array(code, [-1])
+    # the array iterator reads the length afresh, so it walks the growing queue
     for i, x in enumerate(order):
         parent = order[up[i]] if i else -1
         block = is_block[i]
@@ -96,8 +99,11 @@ def build_cut_tree(g: Graph) -> CutTree:
                 order.append(y)
                 is_block.append(not block)
                 up.append(i)
-    degree = (len(blocks[x]) - 1 if b else len(adj[x]) for x, b in zip(order, is_block))
-    return CutTree(g, blocks, cuts, noncut, tuple(order), tuple(is_block), tuple(up), tuple(degree))
+    o = g._offsets
+    degree = array(
+        code, (len(blocks[x]) - 1 if b else o[x + 1] - o[x] for x, b in zip(order, is_block))
+    )
+    return CutTree(g, blocks, cuts, noncut, order, is_block, up, degree)
 
 
 def solve_block_graph(g: Graph, objective: str) -> CoverSolution:

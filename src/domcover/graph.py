@@ -1,62 +1,59 @@
 """Simple undirected graphs on dense 0-based vertex ids, with the domination
 predicates and structural decompositions the rest of the toolkit builds on.
 
+A Graph keeps its rows in two flat int arrays (see Graph), so a graph of a
+million vertices holds no Python object per vertex or per edge; the
+predicates and decompositions here read rows as slices of those arrays.
+
 Vertex sets are passed in as any iterable of ids and come back as sorted
 tuples, so witnesses compare lexicographically and serialize stably.
 """
 
 from __future__ import annotations
 
-import gc
 import re
 import sys
 from array import array
-from bisect import bisect_left
-from itertools import chain, islice
-from operator import eq
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, chain, compress, count, islice
+from operator import eq, lt, not_, or_, sub
 from typing import Iterable, Iterator, TextIO
 
 from .errors import CapacityError, DomainError, GraphParseError
 
 
 class Graph:
-    """Immutable simple undirected graph.
+    """Immutable simple undirected graph, stored as two flat int arrays.
+
+    The neighbours of vertex v are targets[offsets[v]:offsets[v + 1]], in
+    ascending id, so iteration order is deterministic everywhere downstream:
+    offsets has n + 1 entries and targets 2m.  Both are array('i'), or
+    array('q') when n or 2m does not fit in 32 bits.  No object is kept per
+    vertex or per edge; adjacency, the tuple of row tuples that the small-
+    graph searches read, is built on first use and cached.
 
     Construction validates everything once: ids in range, no self-loops, no
     duplicate edges.  Edges may come from any iterable of pairs, or from an
     array('q') of flat endpoints u0, v0, u1, v1, ... (the form parse_graph
     hands over); pairs are first flattened into such an array, so both take
-    one build path.  Range and self-loop checks run over the flat array in
-    C (min, max and map(eq, ...)), and a repeated edge shows up as a
-    repeated neighbour in a sorted row.  An error names the first bad edge
-    in input order.
-
-    Adjacency rows are tuples kept sorted ascending, so iteration order is
-    deterministic everywhere downstream.  Every row entry naming vertex v is
-    the same int object, taken from one list(range(n)), so the rows hold n
-    ints rather than 2m.  The cyclic garbage collector is paused while the
-    rows are built: they are acyclic tuples of ints, so a collection then
-    could free nothing, and at 10^6 rows it would rescan them again and
-    again.  It is re-enabled on exit only if it was enabled on entry, and
-    the young collection the new rows made due then runs before the
-    constructor returns.
-
-    The build never changes an array it is given, except through the
-    private keyword _consume, by which parse_graph hands over an array of
-    its own.  Such an array, like the one pairs are flattened into, is
-    emptied once the rows are checked and before they become tuples, so
-    the endpoints and the tuples are never held at once.
+    one build path, and an array given is never changed.  Range and
+    self-loop checks run over the flat array in C (min, max and
+    map(eq, ...)).  The rows are then built by counting: degrees, their
+    prefix sums into offsets, and one pass that appends each endpoint to
+    the other's row.  One pass in C checks that every row ascends strictly;
+    only a row that does not is sorted, and a repeated edge shows up as a
+    repeated entry in a sorted row.  Rows of edges given in write_graph's
+    order ascend as built.  An error names the first bad edge in input
+    order.
 
     An n too large to build raises CapacityError naming n, before any edge
-    is checked when n is above sys.maxsize, and otherwise when the rows do
+    is checked when n is above sys.maxsize, and otherwise when the arrays do
     not fit in memory.
     """
 
-    __slots__ = ("n", "_m", "_adj", "_closed", "_open")
+    __slots__ = ("n", "_m", "_offsets", "_targets", "_adj", "_closed", "_open")
 
-    def __init__(
-        self, n: int, edges: Iterable[tuple[int, int]] | array = (), *, _consume: bool = False
-    ):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] | array = ()):
         if n < 0:
             raise DomainError("vertex count must be non-negative")
         if n > sys.maxsize:
@@ -69,24 +66,17 @@ class Graph:
             ends = _endpoints(n, edges)
         if ends and (min(ends) < 0 or max(ends) >= n or any(map(eq, ends[::2], ends[1::2]))):
             raise DomainError(_first_rejected_edge(n, _pairs(ends))[1])
-        # m first: _rows may empty the array
-        self._m = len(ends) // 2
-        collecting = gc.isenabled()
-        gc.disable()
         try:
-            adj = _rows(n, ends, _consume or ends is not edges)
+            offsets, targets = _rows(n, ends)
         except MemoryError:
             raise CapacityError(f"n={n} vertices do not fit in memory") from None
-        finally:
-            if collecting:
-                gc.enable()
-        # The new rows leave a young collection due.  Run it here, so that it
-        # is charged to the build and not to the caller's next allocation.
-        threshold = gc.get_threshold()[0]
-        if collecting and 0 < threshold < gc.get_count()[0]:
-            gc.collect(0)
+        if not _sort_rows(offsets, targets):
+            raise DomainError(_first_rejected_edge(n, _pairs(ends))[1])
         self.n = n
-        self._adj: tuple[tuple[int, ...], ...] = adj
+        self._m = len(ends) // 2
+        self._offsets = offsets
+        self._targets = targets
+        self._adj: tuple[tuple[int, ...], ...] | None = None
         self._closed: list[int] | None = None
         self._open: list[int] | None = None
 
@@ -96,49 +86,59 @@ class Graph:
 
     @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """The rows as tuples, built on first use; meant for small graphs."""
+        if self._adj is None:
+            o = self._offsets
+            entries = tuple(self._targets)
+            self._adj = tuple(map(entries.__getitem__, map(slice, o, islice(o, 1, None))))
         return self._adj
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         self._check_vertex(v)
-        return self._adj[v]
+        return tuple(self._row(v))
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return len(self._adj[v])
+        return self._offsets[v + 1] - self._offsets[v]
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self._adj)
+        o = self._offsets
+        return tuple(map(sub, islice(o, 1, None), o))
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
-        row = self._adj[u]
-        i = bisect_left(row, v)
-        return i < len(row) and row[i] == v
+        t, hi = self._targets, self._offsets[u + 1]
+        i = bisect_left(t, v, self._offsets[u], hi)
+        return i < hi and t[i] == v
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges as (u, v) with u < v, in lexicographic order."""
-        for u, row in enumerate(self._adj):
-            for v in row:
-                if v > u:
-                    yield (u, v)
+        t, o = self._targets, self._offsets
+        for u in range(self.n):
+            hi = o[u + 1]
+            for v in t[bisect_right(t, u, o[u], hi):hi]:
+                yield (u, v)
 
     def has_isolated_vertex(self) -> bool:
-        return any(not row for row in self._adj)
+        o = self._offsets
+        return any(map(eq, o, islice(o, 1, None)))
 
     def closed_masks(self) -> list[int]:
         """Per-vertex bitmask of N[v].  Only sensible for small graphs."""
         if self._closed is None:
-            self._closed = [
-                (1 << v) | _bits(row) for v, row in enumerate(self._adj)
-            ]
+            self._closed = [(1 << v) | _bits(row) for v, row in enumerate(self.adjacency)]
         return self._closed
 
     def open_masks(self) -> list[int]:
         """Per-vertex bitmask of N(v)."""
         if self._open is None:
-            self._open = [_bits(row) for row in self._adj]
+            self._open = [_bits(row) for row in self.adjacency]
         return self._open
+
+    def _row(self, v: int) -> array:
+        """The neighbours of v, ascending, as a copy of its slice of targets."""
+        return self._targets[self._offsets[v]:self._offsets[v + 1]]
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
@@ -148,11 +148,12 @@ class Graph:
         return (
             isinstance(other, Graph)
             and self.n == other.n
-            and self._adj == other._adj
+            and self._offsets == other._offsets
+            and self._targets == other._targets
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self._adj))
+        return hash((self.n, self._offsets.tobytes(), self._targets.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self._m})"
@@ -181,27 +182,54 @@ def _pairs(ends: array) -> Iterator[tuple[int, int]]:
     return zip(it, it)
 
 
-def _rows(n: int, ends: array, consume: bool) -> tuple[tuple[int, ...], ...]:
-    """Sorted adjacency rows of checked flat endpoints; every entry naming
-    vertex v is ids[v].  A repeated edge raises DomainError.  With consume,
-    ends is emptied once the rows are checked."""
-    ids = list(range(n))
-    adj: list[list[int]] = [[] for _ in range(n)]
+def _rows(n: int, ends: array) -> tuple[array, array]:
+    """offsets and targets of checked flat endpoints, each row in input order."""
+    code = "i" if max(n, len(ends)) <= 0x7FFFFFFF else "q"
+    # A list, whose subscripts CPython specializes; nearly every degree is a
+    # cached small int, so it costs n pointers.
+    degree = [0] * n
+    for v in ends:
+        degree[v] += 1
+    offsets = array(code, [0])
+    offsets.extend(accumulate(degree))
+    del degree  # before fill, so the two are never held at once
+    fill = offsets[:-1]  # the next free slot of each row
+    targets = array(code, [0]) * len(ends)
     for u, v in _pairs(ends):
-        adj[u].append(ids[v])
-        adj[v].append(ids[u])
-    del ids  # the rows hold every int they need
-    for row in adj:
-        # A repeated edge shows up as a repeated neighbour.
-        if len(row) > 1:
-            row.sort()
-            if len(set(row)) != len(row):
-                raise DomainError(_first_rejected_edge(n, _pairs(ends))[1])
-    if consume:
-        del ends[:]
-    # All tuples at once, after the lists: the lists' memory is then freed
-    # whole instead of left in fragments between the tuples.
-    return tuple(map(tuple, adj))
+        i = fill[u]
+        targets[i] = v
+        fill[u] = i + 1
+        i = fill[v]
+        targets[i] = u
+        fill[v] = i + 1
+    return offsets, targets
+
+
+def _sort_rows(offsets: array, targets: array) -> bool:
+    """Sort in place each row that does not ascend strictly; False if a row
+    repeats an entry.
+
+    The check is one pass in C: entry i + 1 must exceed entry i unless a
+    row starts at i + 1, so a row that ends in w may be followed by one
+    that starts with w.
+    """
+    starts = bytearray(len(targets) + 1)
+    for i in offsets:
+        starts[i] = 1
+
+    def steps() -> Iterator[int]:
+        """Whether entry i + 1 may follow entry i, for each i."""
+        return map(or_, map(lt, targets, islice(targets, 1, None)), islice(starts, 1, None))
+
+    if all(steps()):
+        return True
+    # the rows that hold an entry i + 1 that may not follow entry i
+    for v in {bisect_right(offsets, i) - 1 for i in compress(count(1), map(not_, steps()))}:
+        row = sorted(targets[offsets[v]:offsets[v + 1]])
+        if any(map(eq, row, islice(row, 1, None))):
+            return False
+        targets[offsets[v]:offsets[v + 1]] = array(targets.typecode, row)
+    return True
 
 
 def _first_rejected_edge(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, str] | None:
@@ -267,7 +295,7 @@ def parse_graph(source: str | TextIO) -> Graph:
     Text in write_graph's shape (every line, the header included, two ASCII
     decimal fields separated by spaces or tabs and ending in "\n", and
     exactly m edge lines) is tokenized straight into one array('q') of
-    endpoints, which Graph takes over: no string per line and no tuple per
+    endpoints, which Graph builds from: no string per line and no tuple per
     edge is kept.  One loop tokenizes pieces of 64 KB, slices of a string or
     reads from a file, cut at newlines, so a file in this shape is never
     held whole.  The pieces are small because matching a large one grows
@@ -287,7 +315,7 @@ def parse_graph(source: str | TextIO) -> Graph:
     if flat is not None:
         n, ends = flat
         try:
-            return Graph(n, ends, _consume=True)
+            return Graph(n, ends)
         except DomainError:
             pass  # the per-line loop names the rejected edge's line
     if start is not None:
@@ -396,17 +424,17 @@ def write_graph(g: Graph) -> str:
 
 def cover_number(g: Graph, vertices: Iterable[int]) -> int:
     """Sum of degrees over a vertex set."""
-    return sum(len(g._adj[v]) for v in as_vertex_set(g, vertices))
+    o = g._offsets
+    return sum(o[v + 1] - o[v] for v in as_vertex_set(g, vertices))
 
 
 def is_dominating(g: Graph, d: Iterable[int]) -> bool:
     """True iff every vertex is in d or adjacent to a vertex of d."""
     dset = as_vertex_set(g, d)
     covered = bytearray(g.n)
-    adj = g._adj
     for v in dset:
         covered[v] = 1
-        for u in adj[v]:
+        for u in g._row(v):
             covered[u] = 1
     return 0 not in covered
 
@@ -417,9 +445,8 @@ def is_total_dominating(g: Graph, d: Iterable[int]) -> bool:
         raise DomainError("total domination is undefined with isolated vertices")
     dset = as_vertex_set(g, d)
     covered = bytearray(g.n)
-    adj = g._adj
     for v in dset:
-        for u in adj[v]:
+        for u in g._row(v):
             covered[u] = 1
     return 0 not in covered
 
@@ -430,10 +457,9 @@ def is_efficient_dominating(g: Graph, d: Iterable[int]) -> bool:
     dset = as_vertex_set(g, d)
     hits = [0] * g.n
     member = bytearray(g.n)
-    adj = g._adj
     for v in dset:
         member[v] = 1
-        for u in adj[v]:
+        for u in g._row(v):
             hits[u] += 1
     for v in range(g.n):
         if member[v]:
@@ -453,28 +479,26 @@ def private_neighbors(g: Graph, v: int, d: Iterable[int]) -> tuple[int, ...]:
     g._check_vertex(v)
     if v not in dset:
         raise DomainError(f"vertex {v} is not a member of the given set")
-    adj = g._adj
     taken = bytearray(g.n)
     for w in dset:
         if w == v:
             continue
         taken[w] = 1
-        for u in adj[w]:
+        for u in g._row(w):
             taken[u] = 1
-    return tuple(u for u in sorted((v, *adj[v])) if not taken[u])
+    return tuple(u for u in sorted((v, *g._row(v))) if not taken[u])
 
 
-def first_unreachable(g: Graph) -> int | None:
-    """Smallest vertex that cannot be reached from vertex 0, or None if none."""
+def first_unreachable(g: Graph, root: int = 0) -> int | None:
+    """Smallest vertex that cannot be reached from root, or None if none."""
     if g.n == 0:
         return None
-    adj = g._adj
     seen = bytearray(g.n)
-    seen[0] = 1
-    frontier = [0]
+    seen[root] = 1
+    frontier = [root]
     while frontier:
         v = frontier.pop()
-        for u in adj[v]:
+        for u in g._row(v):
             if not seen[u]:
                 seen[u] = 1
                 frontier.append(u)
@@ -494,28 +518,31 @@ def is_connected(g: Graph) -> bool:
 def blocks_and_cut_vertices(g: Graph) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Biconnected components and cut vertices of a connected graph.
 
-    Iterative depth-first low-link computation with an edge stack; linear in
-    n + m.  Blocks come back as sorted vertex tuples, the block list itself
-    sorted lexicographically.  Disconnected input raises DomainError naming a
-    vertex outside the component of vertex 0.
+    Iterative depth-first low-link computation; linear in n + m.  Each
+    vertex but 0 goes on a vertex stack when the walk reaches it, and when a
+    child v of p finishes with low[v] >= disc[p], the stack from v up is
+    v's block without p.  Blocks come back as sorted vertex tuples, the
+    block list itself sorted lexicographically.  Disconnected input raises
+    DomainError naming a vertex outside the component of vertex 0.
     """
     n = g.n
     if n == 0:
         raise DomainError("empty graph has no block structure")
     if n == 1:
         return ((0,),), ()
-    adj = g._adj
+    t, o = g._targets, g._offsets
     disc = [0] * n
     low = [0] * n
     disc[0] = low[0] = 1
     clock = 1
     cuts: set[int] = set()
     blocks: list[tuple[int, ...]] = []
-    estack: list[tuple[int, int]] = []
-    stack: list[tuple[int, int, Iterator[int]]] = [(0, -1, iter(adj[0]))]
+    reached: list[int] = []
+    # (vertex, its parent, its row's iterator, its index in reached)
+    stack: list[tuple[int, int, Iterator[int], int]] = [(0, -1, iter(t[o[0]:o[1]]), 0)]
     root_children = 0
     while stack:
-        v, parent, it = stack[-1]
+        v, parent, it, mark = stack[-1]
         child = -1
         for u in it:
             if u == parent:
@@ -523,15 +550,13 @@ def blocks_and_cut_vertices(g: Graph) -> tuple[tuple[tuple[int, ...], ...], tupl
             if disc[u] == 0:
                 clock += 1
                 disc[u] = low[u] = clock
-                estack.append((v, u))
                 child = u
                 break
-            if disc[u] < disc[v]:
-                estack.append((v, u))
-                if disc[u] < low[v]:
-                    low[v] = disc[u]
+            if disc[u] < low[v]:
+                low[v] = disc[u]
         if child >= 0:
-            stack.append((child, v, iter(adj[child])))
+            stack.append((child, v, iter(t[o[child]:o[child + 1]]), len(reached)))
+            reached.append(child)
             continue
         stack.pop()
         if not stack:
@@ -540,22 +565,20 @@ def blocks_and_cut_vertices(g: Graph) -> tuple[tuple[tuple[int, ...], ...], tupl
         if low[v] < low[pv]:
             low[pv] = low[v]
         if low[v] >= disc[pv]:
-            members: set[int] = set()
-            while True:
-                e = estack.pop()
-                members.update(e)
-                if e == (pv, v):
-                    break
-            blocks.append(tuple(sorted(members)))
+            block = reached[mark:]
+            del reached[mark:]
+            block.append(pv)
+            block.sort()
+            blocks.append(tuple(block))
             if pv == 0:
                 root_children += 1
             else:
                 cuts.add(pv)
     if root_children >= 2:
         cuts.add(0)
-    for w in range(n):
-        if disc[w] == 0:
-            raise DomainError(f"graph is disconnected: vertex {w} is not reachable from 0")
+    if 0 in disc:
+        w = disc.index(0)
+        raise DomainError(f"graph is disconnected: vertex {w} is not reachable from 0")
     return tuple(sorted(blocks)), tuple(sorted(cuts))
 
 

@@ -16,22 +16,25 @@ are degree sums in the whole graph, not the subtree.
 The recursion runs over breadth-first positions, not vertex ids: root_tree
 numbers the vertices in the order the walk reaches them, so every parent
 sits at a smaller position than its children, and records each position's
-degree and its parent's position.  _solve_positions then needs no adjacency:
-one scan from the last position down to the root finishes each position and
-folds it into its parent's sums, and one scan back up hands each position
-its state from its parent's.  Both read flat lists in position order, which
-keeps them fast when the ids are scattered over the tree.  The block-graph
-engine roots its cut tree into the same kind of positions (see
-blockdp.CutTree) and runs the same two scans; a block position adds its own
-three states, and a tree is the case with no block positions.
+degree and its parent's position, each in one flat int array.
+_solve_positions then needs no adjacency: one scan from the last position
+down to the root finishes each position and folds it into its parent's
+sums, and one scan back up hands each position its state from its
+parent's.  Both read these arrays and the DP's own per-position lists in
+position order, which keeps them fast when the ids are scattered over the
+tree.  The block-graph engine roots its cut tree into the same kind of
+positions (see blockdp.CutTree) and runs the same two scans; a block
+position adds its own three states, and a tree is the case with no block
+positions.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .graph import Graph
+from .graph import Graph, first_unreachable
 
 
 @dataclass(frozen=True)
@@ -41,7 +44,9 @@ class RootedTree:
     Position i is the i-th vertex reached by the breadth-first walk from the
     root.  The walk reads each adjacency row in ascending id, so a vertex's
     children take consecutive positions in ascending id, and every parent
-    comes before its children.
+    comes before its children.  Each field is a flat array of the graph's
+    own int type, array('i') (array('q') on a graph too large for it), so
+    the positions hold no Python object per vertex:
 
       order   order[i] is the vertex at position i, order[0] the root;
       degree  degree[i] is the degree of order[i] in the whole tree;
@@ -50,9 +55,9 @@ class RootedTree:
 
     graph: Graph
     root: int
-    order: tuple[int, ...]
-    degree: tuple[int, ...]
-    up: tuple[int, ...]
+    order: array
+    degree: array
+    up: array
 
 
 @dataclass(frozen=True)
@@ -68,7 +73,11 @@ class CoverSolution:
 def root_tree(g: Graph, root: int = 0) -> RootedTree:
     """Validate that g is a tree and orient it away from the root.
 
-    One breadth-first walk fills every field.  Non-trees raise DomainError.
+    One breadth-first walk fills every field, reading each row straight
+    from the graph's arrays.  With m = n - 1 edges, g is a tree exactly
+    when a walk that skips only each vertex's parent meets n positions and
+    no more; on a cycle such a walk would never end, so it stops after n.
+    Non-trees raise DomainError.
     """
     n = g.n
     if n == 0:
@@ -76,25 +85,23 @@ def root_tree(g: Graph, root: int = 0) -> RootedTree:
     g._check_vertex(root)
     if g.m != n - 1:
         raise DomainError(f"not a tree: {g.m} edges, expected {n - 1}")
-    adj = g.adjacency
-    seen = bytearray(n)
-    seen[root] = 1
-    order = [root]
-    degree = []
-    up = [-1]
-    # the list iterator reads the length afresh, so it walks the growing queue
-    for i, v in enumerate(order):
-        row = adj[v]
-        degree.append(len(row))
-        for u in row:
-            if not seen[u]:
-                seen[u] = 1
+    t, o = g._targets, g._offsets
+    order = array(t.typecode, [root])
+    degree = array(t.typecode)
+    up = array(t.typecode, [-1])
+    # the array iterator reads the length afresh, so it walks the growing queue
+    for i, v in zip(range(n), order):
+        a, b = o[v], o[v + 1]
+        degree.append(b - a)
+        parent = order[up[i]] if i else -1
+        for u in t[a:b]:
+            if u != parent:
                 order.append(u)
                 up.append(i)
     if len(order) != n:
-        w = seen.index(0)
+        w = first_unreachable(g, root)
         raise DomainError(f"not a tree: vertex {w} is not reachable from {root}")
-    return RootedTree(g, root, tuple(order), tuple(degree), tuple(up))
+    return RootedTree(g, root, order, degree, up)
 
 
 def _keys(g: Graph, objective: str) -> tuple[int, int, int]:

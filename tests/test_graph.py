@@ -1,5 +1,6 @@
-import gc
 import io
+import re
+import tracemalloc
 from array import array
 from itertools import combinations
 
@@ -386,51 +387,71 @@ class TestMemoryShape:
         assert ends == array("q", [0, 1, 1, 2, 2, 3])
         assert g == path(4) and g.m == 3
 
-    def test_parser_array_is_emptied_after_m_is_taken(self):
-        ends = array("q", [0, 1, 1, 2, 2, 3])
-        g = Graph(4, ends, _consume=True)
-        assert len(ends) == 0
-        assert g == path(4) and g.m == 3
-        for parse in (parse_graph, from_file):
-            h = parse(write_graph(random_tree(500, 3)))
-            assert h == random_tree(500, 3) and h.m == 499
-
-    def test_rows_share_one_int_per_vertex(self):
-        g = random_tree(3000, 1)
-        for h in (g, parse_graph(write_graph(g)), Graph(g.n, [(int(str(u)), int(str(v))) for u, v in g.edges()])):
-            assert h == g
-            assert len({id(x) for row in h.adjacency for x in row}) == h.n
-
-    def test_shared_ints_skip_isolated_vertices(self):
-        g = Graph(1000, [(300, 700), (700, 999), (300, 999)])
-        assert len({id(x) for row in g.adjacency for x in row}) == 3
-
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_collector_state_is_restored(self, enabled):
-        builds = [
-            lambda: Graph(500, [(i, i + 1) for i in range(499)]),
-            lambda: parse_graph(write_graph(path(500))),
-            # enough new rows to leave a young collection due
-            lambda: parse_graph(write_graph(random_tree(20000, 2))),
-        ]
-        failures = [
-            (DomainError, lambda: Graph(500, [(0, 1), (1, 0)])),
-            (DomainError, lambda: Graph(500, [(0, 1), (0, 500)])),
-            (GraphParseError, lambda: parse_graph("500 2\n0 1\n1 0\n")),
-            (GraphParseError, lambda: parse_graph("500 1\n0 500\n")),
-        ]
-        was = gc.isenabled()
+    @pytest.mark.parametrize("family", ["path", "random_tree"])
+    def test_parsed_graph_holds_at_most_16_bytes_per_vertex(self, family):
+        # Row tuples sharing one int per vertex held 96 B per vertex here,
+        # and their build peaked at 195 B.
+        g = path(10**5) if family == "path" else random_tree(10**5, 1)
+        text = write_graph(g)
+        tracemalloc.start()
         try:
-            (gc.enable if enabled else gc.disable)()
-            for build in builds:
-                build()
-                assert gc.isenabled() is enabled
-            for error, build in failures:
-                with pytest.raises(error):
-                    build()
-                assert gc.isenabled() is enabled
+            h = parse_graph(text)
+            held, peak = tracemalloc.get_traced_memory()
         finally:
-            (gc.enable if was else gc.disable)()
+            tracemalloc.stop()
+        assert h == g
+        assert held <= 16 * g.n and peak <= 48 * g.n
+
+
+class TestBuildCheck:
+    """Rows are built in input order, checked in one pass, and sorted only
+    where that pass finds them out of order."""
+
+    @staticmethod
+    def rows(n, edges):
+        rows = [set() for _ in range(n)]
+        for u, v in edges:
+            rows[u].add(v)
+            rows[v].add(u)
+        return tuple(tuple(sorted(r)) for r in rows)
+
+    def test_edges_out_of_order_give_ascending_rows(self):
+        g = random_tree(300, 5)
+        edges = [(v, u) if (u + v) % 3 else (u, v) for u, v in g.edges()]
+        edges.reverse()
+        expected = self.rows(g.n, edges)
+        text = f"{g.n} {g.m}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+        for h in (Graph(g.n, edges), parse_graph(text), from_file(text)):
+            assert h.adjacency == expected
+            assert h == g and hash(h) == hash(g)
+            assert list(h.edges()) == list(g.edges())
+
+    def test_row_may_start_with_the_entry_the_previous_row_ends_in(self):
+        # rows (2,), (2,), (0, 1): the first pair of equal entries straddles rows
+        assert Graph(3, [(0, 2), (1, 2)]).adjacency == ((2,), (2,), (0, 1))
+        # row 1 is built as (3, 2), so it is sorted after the check
+        g = Graph(4, [(0, 3), (1, 3), (1, 2)])
+        assert g.adjacency == ((3,), (2, 3), (1,), (0, 1))
+        assert parse_graph("4 3\n0 3\n1 3\n1 2\n") == g
+
+    @pytest.mark.parametrize(
+        "edges, line, reason",
+        [
+            # the repeat is the last two entries of row 0
+            ([(0, 1), (0, 2), (0, 3), (0, 3)], 5, "duplicate edge (0, 3)"),
+            ([(0, 1), (0, 3), (0, 2), (3, 0)], 5, "duplicate edge (0, 3)"),
+            # the repeat is the last two entries of the last row
+            ([(0, 3), (1, 3), (3, 1)], 4, "duplicate edge (1, 3)"),
+            ([(2, 1), (0, 3), (1, 2), (0, 3)], 4, "duplicate edge (1, 2)"),
+        ],
+    )
+    def test_repeated_edges_are_rejected_at_the_first(self, edges, line, reason):
+        with pytest.raises(DomainError, match=rf"^{re.escape(reason)}$"):
+            Graph(4, edges)
+        text = f"4 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+        for parse in (parse_graph, from_file):
+            with pytest.raises(GraphParseError, match=rf"^line {line}: {re.escape(reason)}$"):
+                parse(text)
 
 
 class TestPredicates:

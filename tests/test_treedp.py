@@ -123,9 +123,9 @@ def three_roots(g):
 class TestRooting:
     def test_parent_and_order(self):
         t = root_tree(path(4), 0)
-        assert t.order == (0, 1, 2, 3) and t.up == (-1, 0, 1, 2)
+        assert tuple(t.order) == (0, 1, 2, 3) and tuple(t.up) == (-1, 0, 1, 2)
         t = root_tree(path(4), 2)
-        assert t.order == (2, 1, 3, 0) and t.up == (-1, 0, 0, 1)
+        assert tuple(t.order) == (2, 1, 3, 0) and tuple(t.up) == (-1, 0, 0, 1)
         rooted = [root_tree(path(4), 0), root_tree(star(6), 3)]
         rooted += [root_tree(g, r) for g in corpus.random_trees(60, 13) for r in three_roots(g)]
         for t in rooted:
@@ -135,7 +135,7 @@ class TestRooting:
             for i in range(1, n):
                 assert t.up[i] < i
                 assert g.has_edge(t.order[t.up[i]], t.order[i])
-            assert t.degree == tuple(g.degree(v) for v in t.order)
+            assert tuple(t.degree) == tuple(g.degree(v) for v in t.order)
             # parents' positions never fall, so siblings are consecutive, in ascending id
             assert list(t.up) == sorted(t.up)
             for i in range(1, n - 1):
@@ -161,6 +161,18 @@ class TestRooting:
             root_tree(edge_plus_triangle, 4)
         with pytest.raises(DomainError):
             root_tree(path(3), 5)
+
+    def test_walk_stops_on_a_cycle(self):
+        # With m = n - 1 a graph that is not a tree holds a cycle, which a walk
+        # that skips only each vertex's parent would circle without end.
+        g = Graph(4, ((0, 1), (0, 2), (1, 2)))
+        with pytest.raises(DomainError, match=r"^not a tree: vertex 3 is not reachable from 0$"):
+            root_tree(g, 0)
+        with pytest.raises(DomainError, match=r"^not a tree: vertex 0 is not reachable from 3$"):
+            root_tree(g, 3)
+        big = Graph(10**4, [(0, 1), (0, 10**4 - 2)] + [(i, i + 1) for i in range(1, 10**4 - 2)])
+        with pytest.raises(DomainError, match=r"^not a tree: vertex 9999 is not reachable from 0$"):
+            root_tree(big, 0)
 
 
 class TestAgainstOracle:
@@ -260,3 +272,16 @@ class TestMemoryShape:
         finally:
             tracemalloc.stop()
         assert peak <= 96 * len(big_tree.order)
+
+    def test_rooted_tree_holds_at_most_16_bytes_per_vertex(self, big_tree):
+        # Tuples of the walk's lists held 38-52 B per vertex, and the walk
+        # peaked at 63-77 B.
+        g = big_tree.graph
+        tracemalloc.start()
+        try:
+            t = root_tree(g, 0)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert t == big_tree
+        assert held <= 16 * g.n and peak <= 16 * g.n
