@@ -68,9 +68,10 @@ class Graph:
             raise DomainError(_first_rejected_edge(n, _pairs(ends))[1])
         try:
             offsets, targets = _rows(n, ends)
+            simple = _sort_rows(offsets, targets)
         except MemoryError:
             raise CapacityError(f"n={n} vertices do not fit in memory") from None
-        if not _sort_rows(offsets, targets):
+        if not simple:
             raise DomainError(_first_rejected_edge(n, _pairs(ends))[1])
         self.n = n
         self._m = len(ends) // 2

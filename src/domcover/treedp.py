@@ -76,8 +76,10 @@ def root_tree(g: Graph, root: int = 0) -> RootedTree:
     One breadth-first walk fills every field, reading each row straight
     from the graph's arrays.  With m = n - 1 edges, g is a tree exactly
     when a walk that skips only each vertex's parent meets n positions and
-    no more; on a cycle such a walk would never end, so it stops after n.
-    Non-trees raise DomainError.
+    no more.  On a cycle such a walk would never end, and on a dense one
+    each position would add many, so it stops as soon as it holds more
+    than n: it never holds more than n plus one row.  Non-trees raise
+    DomainError.
     """
     n = g.n
     if n == 0:
@@ -90,14 +92,17 @@ def root_tree(g: Graph, root: int = 0) -> RootedTree:
     degree = array(t.typecode)
     up = array(t.typecode, [-1])
     # the array iterator reads the length afresh, so it walks the growing queue
-    for i, v in zip(range(n), order):
+    for i, v in enumerate(order):
         a, b = o[v], o[v + 1]
         degree.append(b - a)
-        parent = order[up[i]] if i else -1
-        for u in t[a:b]:
-            if u != parent:
-                order.append(u)
-                up.append(i)
+        if b - a > 1 or not i:  # a leaf's one neighbour is its parent
+            parent = order[up[i]] if i else -1
+            for u in t[a:b]:
+                if u != parent:
+                    order.append(u)
+                    up.append(i)
+            if len(order) > n:
+                break
     if len(order) != n:
         w = first_unreachable(g, root)
         raise DomainError(f"not a tree: vertex {w} is not reachable from {root}")

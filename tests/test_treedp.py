@@ -174,6 +174,22 @@ class TestRooting:
         with pytest.raises(DomainError, match=r"^not a tree: vertex 9999 is not reachable from 0$"):
             root_tree(big, 0)
 
+    def test_walk_stops_early_on_a_dense_cycle(self):
+        # K_100 plus 4,851 isolated vertices has m = n - 1.  Each position of a
+        # walk bounded only by n positions would add 98 entries, about 485,000
+        # in all; bounded by n entries it holds about 12 B per vertex.
+        k = 100
+        n = k * (k - 1) // 2 + 1
+        g = Graph(n, [(u, v) for u in range(k) for v in range(u + 1, k)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=rf"^not a tree: vertex {k} is not reachable from 0$"):
+                root_tree(g, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * n
+
 
 class TestAgainstOracle:
     def test_all_small_trees_every_root(self, trees10):
