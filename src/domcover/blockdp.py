@@ -51,6 +51,9 @@ class CutTree:
       up        up[i] is the position of i's parent, -1 at the root block;
       degree    degree[i] is the degree of the cut vertex at i, or of each
                 non-cut member of the block at i.
+
+    up never decreases along the positions, as in a RootedTree, and the DP
+    relies on it (see treedp._solve_positions).
     """
 
     graph: Graph

@@ -16,6 +16,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, fields
+from itertools import islice
 
 from . import oracle
 from .blockdp import solve_block_graph
@@ -28,6 +29,7 @@ from .treedp import root_tree, solve_tree
 _USAGE_EXIT = 64
 _DOMAIN_EXIT = 2
 _CAPACITY_EXIT = 3
+_JSON = json.JSONEncoder(sort_keys=True, indent=2)
 
 
 class _UsageError(Exception):
@@ -212,7 +214,13 @@ def main(argv: list[str] | None = None) -> int:
         return _DOMAIN_EXIT
     if args.json:
         doc = {"command": args.command, "input": desc, "results": results}
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        # print(json.dumps(doc, sort_keys=True, indent=2)) in pieces: with an
+        # indent, dumps lists one string per witness entry and then joins
+        # them, so it would hold the document twice over
+        chunks = _JSON.iterencode(doc)
+        while batch := "".join(islice(chunks, 4096)):
+            sys.stdout.write(batch)
+        sys.stdout.write("\n")
     elif raw is not None:
         sys.stdout.write(raw)
     else:

@@ -20,11 +20,15 @@ degree and its parent's position, each in one flat int array.
 _solve_positions then needs no adjacency: one scan from the last position
 down to the root finishes each position and folds it into its parent's
 sums, and one scan back up hands each position its state from its
-parent's.  Both read these arrays and the DP's own per-position lists in
+parent's.  Both read these arrays and the DP's bytearrays of states in
 position order, which keeps them fast when the ids are scattered over the
-tree.  The block-graph engine roots its cut tree into the same kind of
-positions (see blockdp.CutTree) and runs the same two scans; a block
-position adds its own three states, and a tree is the case with no block
+tree.  A parent's position never decreases along the positions, so each
+parent's children are one run and parents finish in the order their runs
+end: the backward scan keeps sums only for the parents it has begun
+folding and not yet finished, never one entry per position.  The
+block-graph engine roots its cut tree into the same kind of positions
+(see blockdp.CutTree) and runs the same two scans; a block position adds
+its own three states, and a tree is the case with no block
 positions.
 """
 
@@ -32,6 +36,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import islice
+from operator import sub
 
 from .errors import DomainError
 from .graph import Graph, first_unreachable
@@ -51,6 +57,9 @@ class RootedTree:
       order   order[i] is the vertex at position i, order[0] the root;
       degree  degree[i] is the degree of order[i] in the whole tree;
       up      up[i] is the position of order[i]'s parent, -1 at the root.
+
+    up never decreases along the positions, since the walk reaches the
+    children of each position in turn; _solve_positions relies on it.
     """
 
     graph: Graph
@@ -126,12 +135,11 @@ def _keys(g: Graph, objective: str) -> tuple[int, int, int]:
 
 
 def _decode(objective: str, key: int, scale: int, selected: list[int]) -> CoverSolution:
-    """The CoverSolution of a root key and its selected vertices."""
+    """The CoverSolution of a root key and its selected vertices (sorted in place)."""
     size = (key + scale // 2) // scale
     cover = key - size * scale
-    return CoverSolution(
-        objective, size, cover if objective == "min" else -cover, tuple(sorted(selected))
-    )
+    selected.sort()
+    return CoverSolution(objective, size, cover if objective == "min" else -cover, tuple(selected))
 
 
 def solve_tree(tree: RootedTree, objective: str) -> CoverSolution:
@@ -167,56 +175,106 @@ def _solve_positions(g, objective, order, up, degree, is_block, noncut) -> Cover
     consecutive positions in ascending id, so the backward scan meets them
     in descending id and every swap test takes <= to keep the smallest.
 
-    A position's sums are never read after the fold, so the backward scan
-    overwrites them with 0: only positions whose children are being folded
-    hold key ints of their own.  With the states and kinds in bytearrays
-    (swap stays a list, which is faster), the scans take 54-73 B per
-    position on 10^5-vertex trees, where keeping every sum took 141-211 B.
+    Both scans rely on up never decreasing, which a breadth-first walk
+    gives.  A parent's children are then one run of positions, so one
+    parent takes folds at a time, into locals.  When its run ends the
+    parent waits in a ring of w = max(c - up[c]) + 1 slots, position q in
+    slot q % w, until the scan finishes it and frees the slot.  While the
+    scan is at c, every waiting parent lies in [up[c], c], so no two share
+    a slot: sums exist only for the open parents, and w <= n slots, two on
+    a path and n on a star.  A finished parent marks its swap child
+    (the child it forces to state 0) by zeroing that child's state under
+    it, ch1 under a vertex and ch0 under a block.  With the states and
+    kinds in bytearrays the scans take 19-26 B per position on 10^5-vertex
+    paths and random trees, where sums for every position took 65-83 B,
+    and 43 B on a star.
     """
     sign, scale, inf = _keys(g, objective)
     n = len(up)
-    # per position: sums over the children folded in so far
-    k0 = [0] * n  # each child at its best under a parent in state 0
-    k1 = [0] * n  # vertex: children dominated on their own; block: NONE_PENDING
-    k2 = [0] * n  # every child in state 1
-    best = [inf] * n  # least cost of forcing a child to 0; 0 once one already is
-    swap = [-1] * n  # position of that child
     ch0 = bytearray(n)  # the position's state when its parent is in state 0
     ch1 = bytearray(n)  # its state under a vertex parent in 1, or a block parent in 2
     # 1 for a block, 2 for a SELECTED block that selects a non-cut member
     kind = bytearray(is_block)
+    # the parent taking folds: its position, kind and sums over the children
+    # folded so far
+    q = -1
+    qk = 0
+    k0 = 0  # each child at its best under a parent in state 0
+    k1 = 0  # vertex: children dominated on their own; block: NONE_PENDING
+    k2 = 0  # every child in state 1
+    best = inf  # least cost of forcing a child to 0; 0 once one already is
+    swap = -1  # position of that child
+    # the ring of waiting parents' k0, k1, k2, best and swap; swap is None
+    # at a free slot
+    w = max(map(sub, range(1, n), islice(up, 1, None)), default=0) + 1
+    r0 = [0] * w
+    r1 = [0] * w
+    r2 = [0] * w
+    rb = [0] * w
+    rs = [None] * w
 
-    for c in range(n - 1, -1, -1):
+    for c, p, dc, kc in zip(range(n - 1, -1, -1), reversed(up), reversed(degree), reversed(kind)):
         # every child of c sits at a larger position, so c's sums are final
-        if kind[c]:
+        if c == q:
+            s0, s1, s2, sb, ss = k0, k1, k2, best, swap
+            q = -1
+        else:
+            x = c % w
+            ss = rs[x]
+            if ss is None:  # c has no children
+                s0 = s1 = s2 = 0
+                sb = inf
+                ss = -1
+            else:
+                s0 = r0[x]
+                s1 = r1[x]
+                s2 = r2[x]
+                sb = rb[x]
+                r0[x] = r1[x] = r2[x] = rb[x] = 0
+                rs[x] = None
+        if kc:
             # SELECTED by option B selects no non-cut member but forces a cut
-            i = k0[c] + best[c]
+            i = s0 + sb
             if noncut[order[c]]:
                 # option A selects one non-cut member, and NONE_SAT would
                 # leave it undominated
-                own = k0[c] + scale + sign * degree[c]
+                own = s0 + scale + sign * dc
                 d = inf
                 if own <= i:
                     i = own
                     kind[c] = 2
-                    swap[c] = -1
+                    ss = -1
             else:
-                d = min(k2[c], inf)
-            f = k1[c]
+                d = min(s2, inf)
+            f = s1
+            if ss >= 0:
+                ch0[ss] = 0
         else:
-            i = k0[c] + scale + sign * degree[c]
-            d = k1[c] + best[c]
+            i = s0 + scale + sign * dc
+            d = s1 + sb
             if d > inf:
                 d = inf
-            f = k2[c]
+            f = s2
+            if ss >= 0:
+                ch1[ss] = 0
         if f > inf:
             f = inf
         if not c:
             break
-        # c's sums are spent: only positions whose children are being folded
-        # now keep key ints of their own
-        k0[c] = k1[c] = k2[c] = best[c] = 0
-        p = up[c]
+        if p != q:
+            # q's run of children is over
+            if q >= 0:
+                x = q % w
+                r0[x] = k0
+                r1[x] = k1
+                r2[x] = k2
+                rb[x] = best
+                rs[x] = swap
+            q = p
+            qk = kind[p]
+            k0 = k1 = k2 = 0
+            best = inf
+            swap = -1
         # parent in state 0 (IN, or SELECTED): the child may be anything
         if i <= d and i <= f:
             v = i
@@ -226,34 +284,34 @@ def _solve_positions(g, objective, order, up, degree, is_block, noncut) -> Cover
         else:
             v = f
             ch0[c] = 2
-        k0[p] += v
-        k2[p] += d
-        if kind[p]:
+        k0 += v
+        k2 += d
+        if qk:
             # SELECTED by option B forces one child cut to 0
             if v == i:
-                best[p] = 0
-                swap[p] = -1
-            elif i - v <= best[p]:
-                best[p] = i - v
-                swap[p] = c
+                best = 0
+                swap = -1
+            elif i - v <= best:
+                best = i - v
+                swap = c
             # NONE_PENDING: the child must not be selected
             if d <= f:
-                k1[p] += d
+                k1 += d
                 ch1[c] = 1
             else:
-                k1[p] += f
+                k1 += f
                 ch1[c] = 2
         # parent OUT_DOM: the child must be dominated inside its own subtree
         elif i <= d:
-            k1[p] += i
-            best[p] = 0
-            swap[p] = -1
+            k1 += i
+            best = 0
+            swap = -1
         else:
-            k1[p] += d
+            k1 += d
             ch1[c] = 1
-            if i - d <= best[p]:
-                best[p] = i - d
-                swap[p] = c
+            if i - d <= best:
+                best = i - d
+                swap = c
 
     # the root has no parent to need it, so it takes state 0 or 1
     root_key = i if i <= d else d
@@ -261,21 +319,15 @@ def _solve_positions(g, objective, order, up, degree, is_block, noncut) -> Cover
     # state; under a parent in state 0 that state is ch0[c] and stays in place
     state = ch0
     state[0] = 0 if i <= d else 1
-    for c in range(1, n):
-        p = up[c]
+    for c, p in zip(range(1, n), islice(up, 1, None)):
         s = state[p]
-        if kind[p]:
-            # SELECTED forces its swap cut only; NONE_SAT has every cut DOMINATED
-            if s == 0 and swap[p] == c:
-                state[c] = 0
-            elif s == 1:
-                state[c] = 1
-            elif s == 2:
-                state[c] = ch1[c]
-        elif s == 1:
-            state[c] = 0 if swap[p] == c else ch1[c]
-        elif s == 2:
-            state[c] = 1
+        if s:
+            if kind[p]:
+                # NONE_SAT has every cut DOMINATED; NONE_PENDING passes ch1
+                state[c] = 1 if s == 1 else ch1[c]
+            else:
+                # OUT_DOM passes ch1; OUT_FREE needs every child dominated
+                state[c] = ch1[c] if s == 1 else 1
     selected = [
         noncut[x][0] if k else x for x, s, k in zip(order, state, kind) if s == 0 and k != 1
     ]

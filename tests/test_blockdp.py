@@ -158,6 +158,10 @@ def reference_solve(g, objective):
     return _decode(objective, min(bk0[0], bk1[0]), scale, selected)
 
 
+def _triangle(a, b, c):
+    return (a, b), (a, c), (b, c)
+
+
 def outcome(solve, g, objective):
     try:
         return solve(g, objective)
@@ -180,6 +184,12 @@ class TestCutTree:
             cuts = set(ct.cut_vertices)
             members = sorted((i, v) for i, b in enumerate(ct.blocks) for v in b if v in cuts)
             assert list(ct.edges()) == members
+
+    def test_up_never_decreases(self):
+        # _solve_positions parks parents in a ring that relies on it
+        for g in corpus.random_block_graphs(60, 14) + corpus.glued_cliques():
+            ct = build_cut_tree(g)
+            assert list(ct.up) == sorted(ct.up)
 
     def test_clique_is_single_block(self):
         ct = build_cut_tree(complete(5))
@@ -242,6 +252,20 @@ class TestAgainstReference:
                 assert outcome(solve_block_graph, g, objective) == outcome(
                     reference_solve, g, objective
                 )
+
+    def test_ring_wraps_and_wide_levels(self):
+        # A chain of triangles gives the cut tree a ring of few slots that
+        # wraps many times; triangles and edges all sharing vertex 0 give one
+        # cut vertex with a wide level of blocks under it.
+        chain = Graph(201, [e for i in range(100) for e in _triangle(2 * i, 2 * i + 1, 2 * i + 2)])
+        fan = Graph(
+            61,
+            [e for i in range(20) for e in _triangle(0, 2 * i + 1, 2 * i + 2)]
+            + [(0, v) for v in range(41, 61)],
+        )
+        for g in (chain, fan, corona(30)):
+            for objective in ("min", "max"):
+                assert solve_block_graph(g, objective) == reference_solve(g, objective)
 
 
 class TestWitnesses:

@@ -106,6 +106,47 @@ class TestHappyPaths:
         assert code == 0
 
 
+class TestJsonOutput:
+    # --json writes the encoder's chunks in batches; the bytes must be those
+    # of print(json.dumps(doc, sort_keys=True, indent=2))
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("tree", "--family", "path", "--params", "n=7"),
+            ("tree", "--family", "path", "--params", "n=7", "--witness"),
+            ("tree", "--family", "path", "--params", "n=1", "--witness"),
+            ("block", "--family", "corona", "--params", "p=4"),
+            ("block", "--family", "corona", "--params", "p=4", "--objective", "max", "--witness"),
+            ("block", "--family", "path", "--params", "n=1", "--witness"),
+            ("enum", "--family", "cycle", "--params", "n=6"),
+            ("bounds", "--family", "path", "--params", "n=6"),
+            (
+                "validate-product",
+                "--familyG", "path", "--paramsG", "n=3",
+                "--familyH", "complete", "--paramsH", "n=2",
+            ),
+        ],
+    )
+    def test_json_is_one_sorted_indented_document(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+    def test_json_across_batches(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "tree", "--family", "path", "--params", "n=30000", "--json", "--witness"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert len(doc["results"]["witness"]) == 10000
+        chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)
+        assert sum(1 for _ in chunks) > 4096
+        want = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        # not `out == want`: pytest would diff two 200 KB strings on a failure
+        first = next((i for i, (a, b) in enumerate(zip(out, want)) if a != b), None)
+        assert first is None and len(out) == len(want), f"first difference at {first}"
+
+
 class TestFilesAndRoundTrip:
     def test_gen_output_parses_back(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "gen", "--family", "barbell", "--params", "n=4")

@@ -3,6 +3,7 @@ import tracemalloc
 import pytest
 
 import corpus
+from corpus import spider
 from domcover import (
     DomainError,
     Graph,
@@ -232,6 +233,22 @@ class TestAgainstReference:
             for root in three_roots(g):
                 self.same(g, root)
 
+    def test_ring_wraps_and_wide_levels(self):
+        # The scan parks parents in a ring of max(c - up[c]) + 1 slots: two on
+        # a path, so slots wrap n / 2 times; n on a star, one wide level.
+        # Spiders and a caterpillar mix long runs of single children with
+        # wide levels of parents.
+        spine = 20
+        caterpillar = Graph(
+            2 * spine + 1,
+            [(i, i + 1) for i in range(spine - 1)]
+            + [(i, spine + i) for i in range(spine)]
+            + [(0, 2 * spine)],
+        )
+        for g in (path(1000), star(60), caterpillar, spider((2,) * 30), *corpus.spiders(15)):
+            for root in three_roots(g):
+                self.same(g, root)
+
 
 class TestWitnesses:
     def test_witness_attains_objective(self):
@@ -288,6 +305,34 @@ class TestMemoryShape:
         finally:
             tracemalloc.stop()
         assert peak <= 96 * len(big_tree.order)
+
+    @pytest.mark.parametrize("objective", ["min", "max"])
+    def test_solve_holds_at_most_32_bytes_per_position(self, big_tree, objective):
+        # Sums only for the parents the scan has begun and not finished:
+        # 19-26 B per position on these trees, against 65-83 B with sums for
+        # every position.
+        tracemalloc.start()
+        try:
+            solve_tree(big_tree, objective)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * len(big_tree.order)
+
+    @pytest.mark.parametrize("shape", ["star", "spider"])
+    def test_widest_rings_hold_at_most_96_bytes_per_position(self, shape):
+        # A star's ring has one slot per position; a spider of two-vertex legs
+        # has half as many, nearly all holding a parent at once.  43 and 57 B.
+        g = star(10**5 - 1) if shape == "star" else spider((2,) * (10**5 // 2))
+        t = root_tree(g, 0)
+        for objective in ("min", "max"):
+            tracemalloc.start()
+            try:
+                solve_tree(t, objective)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 96 * g.n
 
     def test_rooted_tree_holds_at_most_16_bytes_per_vertex(self, big_tree):
         # Tuples of the walk's lists held 38-52 B per vertex, and the walk
