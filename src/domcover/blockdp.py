@@ -114,10 +114,9 @@ def solve_block_graph(g: Graph, objective: str) -> CoverSolution:
 
     The tree DP's two position scans over the cut-tree, O(n + m).  Ties
     break toward the earlier-listed state and, for swaps, the smaller child,
-    so witnesses are deterministic.
+    so witnesses are deterministic.  An objective other than "min" or "max"
+    raises DomainError once the cut-tree is built (see treedp._keys).
     """
-    if objective not in ("min", "max"):
-        raise DomainError(f"objective must be 'min' or 'max', got {objective!r}")
     return _solve_cut_tree(build_cut_tree(g), objective)
 
 

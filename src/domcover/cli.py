@@ -30,6 +30,7 @@ _USAGE_EXIT = 64
 _DOMAIN_EXIT = 2
 _CAPACITY_EXIT = 3
 _JSON = json.JSONEncoder(sort_keys=True, indent=2)
+_BATCH = 4096  # JSON chunks or list entries joined per write
 
 
 class _UsageError(Exception):
@@ -172,18 +173,25 @@ def _run_command(args: argparse.Namespace) -> tuple[dict, dict, str | None]:
     return desc, {"edge_list": text}, text
 
 
-def _flatten(obj, prefix: str, lines: list[str]) -> None:
+def _flatten(obj, prefix: str, write) -> None:
+    """Write obj as sorted "key: value" lines; a list of scalars is one line
+    of its entries, written _BATCH entries at a time, so a witness of a
+    million ids is never held as one string."""
     if isinstance(obj, dict):
         for key in sorted(obj):
-            _flatten(obj[key], f"{prefix}{key}." if prefix else f"{key}.", lines)
+            _flatten(obj[key], f"{prefix}{key}." if prefix else f"{key}.", write)
     elif isinstance(obj, (list, tuple)):
         if all(isinstance(x, (int, bool)) or x is None for x in obj):
-            lines.append(f"{prefix[:-1]}: {' '.join(_scalar(x) for x in obj)}")
+            entries = map(_scalar, obj)
+            write(f"{prefix[:-1]}: {' '.join(islice(entries, _BATCH))}")
+            while batch := " ".join(islice(entries, _BATCH)):
+                write(f" {batch}")
+            write("\n")
         else:
             for i, item in enumerate(obj):
-                _flatten(item, f"{prefix}{i}.", lines)
+                _flatten(item, f"{prefix}{i}.", write)
     else:
-        lines.append(f"{prefix[:-1]}: {_scalar(obj)}")
+        write(f"{prefix[:-1]}: {_scalar(obj)}\n")
 
 
 def _scalar(x) -> str:
@@ -218,15 +226,13 @@ def main(argv: list[str] | None = None) -> int:
         # indent, dumps lists one string per witness entry and then joins
         # them, so it would hold the document twice over
         chunks = _JSON.iterencode(doc)
-        while batch := "".join(islice(chunks, 4096)):
+        while batch := "".join(islice(chunks, _BATCH)):
             sys.stdout.write(batch)
         sys.stdout.write("\n")
     elif raw is not None:
         sys.stdout.write(raw)
     else:
-        lines: list[str] = []
-        _flatten(results, "", lines)
-        print("\n".join(lines))
+        _flatten(results, "", sys.stdout.write)
     print(f"elapsed_ms: {elapsed_ms}", file=sys.stderr)
     return 0
 

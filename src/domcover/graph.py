@@ -7,6 +7,9 @@ predicates and decompositions here read rows as slices of those arrays.
 
 Vertex sets are passed in as any iterable of ids and come back as sorted
 tuples, so witnesses compare lexicographically and serialize stably.
+
+parse_graph reads edge-list text once, in pieces, into the flat endpoint
+array Graph builds from, and names the line of any error it finds there.
 """
 
 from __future__ import annotations
@@ -293,123 +296,113 @@ def parse_graph(source: str | TextIO) -> Graph:
     edge it rejects.  Every error is a GraphParseError naming the 1-based
     line number, and the first bad line wins whatever the kind of error.
 
-    Text in write_graph's shape (every line, the header included, two ASCII
-    decimal fields separated by spaces or tabs and ending in "\n", and
-    exactly m edge lines) is tokenized straight into one array('q') of
-    endpoints, which Graph builds from: no string per line and no tuple per
-    edge is kept.  One loop tokenizes pieces of 64 KB, slices of a string or
-    reads from a file, cut at newlines, so a file in this shape is never
-    held whole.  The pieces are small because matching a large one grows
-    the regex engine's backtracking stack, and that memory stays with the
-    process: 1 MB pieces left about 27 MB more resident.
-
-    Any other text (comments, blank lines, CRs, other digits or signs, a
-    wrong line count), and any text whose edges Graph rejects, goes through
-    the per-line loop, which owns every error message.  A file is then read
-    again from where parsing started; a file that cannot seek is read whole
-    first.
+    The text is read once, from a file's current position, in pieces of
+    about 64 KB (see _pieces) that end in "\n", so it is never held whole
+    and its lines are numbered as in text.splitlines().  Every edge goes
+    into one array('q') of endpoints, which Graph builds from: no string
+    per line and no tuple per edge is kept.  A piece in write_graph's shape
+    (every line two ASCII decimal fields separated by spaces or tabs and
+    ending in "\n") is tokenized in one go; any other piece (comments,
+    blank lines, CRs, other digits or signs) is read line by line, and an
+    error is raised on the line where it is found.  The pieces are small
+    because matching a large one grows the regex engine's backtracking
+    stack, and that memory stays with the process: 1 MB pieces left about
+    27 MB more resident.
     """
-    if not isinstance(source, str) and not source.seekable():
-        source = source.read()
-    start = None if isinstance(source, str) else source.tell()
-    flat = _flat_endpoints(source)
-    if flat is not None:
-        n, ends = flat
-        try:
-            return Graph(n, ends)
-        except DomainError:
-            pass  # the per-line loop names the rejected edge's line
-    if start is not None:
-        source.seek(start)
-        source = source.read()
-    return _parse_lines(source)
+    n = m = -1  # until the header is read
+    head = 0  # the header's line
+    lineno = 0  # the lines of the pieces so far
+    # for each blank or comment line after the header, the edges before it,
+    # so that edge i is on line head + 1 + i + bisect_right(skips, i)
+    skips: list[int] = []
+    # The flat endpoints u0, v0, u1, v1, ...: a list once an id does not fit
+    # array('q'), as such text can never build a graph.
+    ends: array | list[int] = array("q")
+
+    def rejected() -> GraphParseError | None:
+        """The error for the first edge so far that Graph rejects, on that
+        edge's line; None when Graph accepts them all."""
+        first = _first_rejected_edge(n, _pairs(ends))
+        if first is None:
+            return None
+        i, reason = first
+        u, v = ends[2 * i], ends[2 * i + 1]
+        if not (0 <= u < n and 0 <= v < n):
+            reason = f"vertex id {u if not 0 <= u < n else v} out of range for n={n}"
+        return GraphParseError(f"line {head + 1 + i + bisect_right(skips, i)}: {reason}")
+
+    for piece in _pieces(source):
+        if _LINES.fullmatch(piece):
+            fields = map(int, piece.split())
+            if m < 0:
+                n, m, head = next(fields), next(fields), lineno + 1
+            ends.extend(fields)
+            lineno += piece.count("\n")
+            if len(ends) > 2 * m:
+                del ends[2 * m:]
+                raise rejected() or GraphParseError(
+                    f"line {head + 1 + m + bisect_right(skips, m)}: more than {m} edge lines"
+                )
+            continue
+        for raw in piece.splitlines():
+            lineno += 1
+            parts = raw.split()
+            if not parts or parts[0][0] == "#":
+                if m >= 0:
+                    skips.append(len(ends) // 2)
+                continue
+            if len(parts) != 2:
+                raise rejected() or GraphParseError(
+                    f"line {lineno}: expected two fields, got {len(parts)}"
+                )
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise rejected() or GraphParseError(f"line {lineno}: non-integer field") from None
+            if m < 0:
+                if u < 0 or v < 0:
+                    raise GraphParseError(f"line {lineno}: negative count in header")
+                n, m, head = u, v, lineno
+            elif len(ends) == 2 * m:
+                raise rejected() or GraphParseError(f"line {lineno}: more than {m} edge lines")
+            else:
+                # the pair first: extend((u, v)) would keep u when v overflows
+                try:
+                    ends += array("q", (u, v))
+                except OverflowError:
+                    if isinstance(ends, array):
+                        ends = ends.tolist()
+                    ends += (u, v)
+    if m < 0:
+        raise GraphParseError("line 1: missing header")
+    if len(ends) != 2 * m:
+        raise rejected() or GraphParseError(
+            f"line {lineno}: expected {m} edge lines, found {len(ends) // 2}"
+        )
+    try:
+        return Graph(n, ends if isinstance(ends, array) else _pairs(ends))
+    except DomainError:
+        raise rejected() from None
 
 
 def _pieces(source: str | TextIO) -> Iterator[str]:
-    """The source _CHUNK characters at a time."""
+    """The source as pieces that end right after a "\n", but for the last:
+    slices of a string or reads from a file of _CHUNK characters, each cut
+    after its last "\n" and the rest carried into the next piece."""
     if isinstance(source, str):
-        return (source[i:i + _CHUNK] for i in range(0, len(source), _CHUNK))
-    return iter(lambda: source.read(_CHUNK), "")
-
-
-def _flat_endpoints(source: str | TextIO) -> tuple[int, array] | None:
-    """n and the flat endpoint array of text in write_graph's shape; None
-    for any other text."""
-    ends = array("q")
-    rest = ""  # the unfinished line the pieces so far end in
-    for piece in _pieces(source):
-        cut = piece.rfind("\n") + 1
+        reads = (source[i:i + _CHUNK] for i in range(0, len(source), _CHUNK))
+    else:
+        reads = iter(lambda: source.read(_CHUNK), "")
+    rest = ""  # the unfinished line the reads so far end in
+    for chunk in reads:
+        cut = chunk.rfind("\n") + 1
         if not cut:
-            rest += piece
+            rest += chunk
             continue
-        chunk = rest + piece[:cut]
-        rest = piece[cut:]
-        if not _LINES.fullmatch(chunk):
-            return None
-        ends.extend(map(int, chunk.split()))
-    # The header "n m" heads the array, and m edges must follow it.
-    if rest or len(ends) < 2 or len(ends) != 2 + 2 * ends[1]:
-        return None
-    n = ends[0]
-    del ends[:2]
-    return n, ends
-
-
-def _parse_lines(text: str) -> Graph:
-    """parse_graph line by line: any text, and every error message."""
-    lines = text.splitlines()
-    n = m = -1  # until the header is read
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(lines, 1):
-        parts = raw.split()
-        if not parts or parts[0][0] == "#":
-            continue
-        if len(parts) != 2:
-            raise _edge_error(lines, n, edges) or GraphParseError(
-                f"line {lineno}: expected two fields, got {len(parts)}"
-            )
-        try:
-            edge = (int(parts[0]), int(parts[1]))
-        except ValueError:
-            raise _edge_error(lines, n, edges) or GraphParseError(
-                f"line {lineno}: non-integer field"
-            ) from None
-        if m < 0:
-            if edge[0] < 0 or edge[1] < 0:
-                raise GraphParseError(f"line {lineno}: negative count in header")
-            n, m = edge
-        elif len(edges) == m:
-            raise _edge_error(lines, n, edges) or GraphParseError(
-                f"line {lineno}: more than {m} edge lines"
-            )
-        else:
-            edges.append(edge)
-    if m < 0:
-        raise GraphParseError("line 1: missing header")
-    if len(edges) != m:
-        raise _edge_error(lines, n, edges) or GraphParseError(
-            f"line {len(lines)}: expected {m} edge lines, found {len(edges)}"
-        )
-    try:
-        return Graph(n, edges)
-    except DomainError:
-        raise _edge_error(lines, n, edges) from None
-
-
-def _edge_error(lines: list[str], n: int, edges: list[tuple[int, int]]) -> GraphParseError | None:
-    """The parse error for the first edge Graph rejects, on that edge's line;
-    None when Graph accepts every edge parsed so far."""
-    rejected = _first_rejected_edge(n, edges)
-    if rejected is None:
-        return None
-    index, reason = rejected
-    a, b = edges[index]
-    if not (0 <= a < n and 0 <= b < n):
-        reason = f"vertex id {a if not 0 <= a < n else b} out of range for n={n}"
-    # The header is the first non-blank, non-comment line; edge i is the
-    # (i + 1)-th after it.
-    content = (k for k, raw in enumerate(lines, 1) if (parts := raw.split()) and parts[0][0] != "#")
-    return GraphParseError(f"line {next(islice(content, index + 1, None))}: {reason}")
+        yield rest + chunk[:cut]
+        rest = chunk[cut:]
+    if rest:
+        yield rest
 
 
 def write_graph(g: Graph) -> str:

@@ -201,6 +201,10 @@ class TestCutTree:
         with pytest.raises(DomainError):
             solve_block_graph(Graph(4, ((0, 1), (2, 3))), "min")
 
+    def test_rejects_an_unknown_objective(self):
+        with pytest.raises(DomainError, match=r"^objective must be 'min' or 'max', got 'mid'$"):
+            solve_block_graph(corona(3), "mid")
+
 
 class TestAgainstOracle:
     def test_random_block_graphs(self):

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from domcover.cli import main
+from domcover.cli import _BATCH, _flatten, main
 
 
 def run_cli(capsys, *argv):
@@ -145,6 +145,25 @@ class TestJsonOutput:
         # not `out == want`: pytest would diff two 200 KB strings on a failure
         first = next((i for i, (a, b) in enumerate(zip(out, want)) if a != b), None)
         assert first is None and len(out) == len(want), f"first difference at {first}"
+
+
+class TestTextOutput:
+    def test_witness_line_across_batches(self, capsys):
+        argv = ("tree", "--family", "path", "--params", "n=30000", "--witness")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        witness = json.loads(run_cli(capsys, *argv, "--json")[1])["results"]["witness"]
+        assert len(witness) > 2 * _BATCH
+        (line,) = [x for x in out.splitlines() if x.startswith("witness:")]
+        # not `line == want`: pytest would diff two 50 KB strings on a failure
+        same = line == "witness: " + " ".join(map(str, witness))
+        assert same
+
+    def test_lines_of_nested_results(self):
+        out = []
+        _flatten({"b": {"c": [1, True, None]}, "a": [], "d": 3}, "", out.append)
+        # a list line keeps its space after the colon when the list is empty
+        assert "".join(out) == "a: \nb.c: 1 true null\nd: 3\n"
 
 
 class TestFilesAndRoundTrip:

@@ -1,5 +1,6 @@
 import io
 import re
+import sys
 import tracemalloc
 from array import array
 from itertools import combinations
@@ -302,7 +303,16 @@ class TestParse:
 
 
 class Unseekable(io.StringIO):
-    """A text file that can only be read forward, like a pipe."""
+    """A text file that can only be read forward, like a pipe.  sizes
+    records the size asked of each read."""
+
+    def __init__(self, text):
+        super().__init__(text)
+        self.sizes = []
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return super().read(size)
 
     def seekable(self):
         return False
@@ -349,11 +359,33 @@ class TestParseFile:
         outcome = parse_outcome(lambda t: parse_graph(Unseekable(t)), text)
         assert outcome == parse_outcome(reference_parse, text)
 
+    @staticmethod
+    def assert_read_in_pieces(text):
+        fh = Unseekable(text)
+        parse_outcome(lambda _: parse_graph(fh), text)
+        assert fh.sizes and all(size is not None and size >= 0 for size in fh.sizes)
+
+    @settings(deadline=None, max_examples=100)
+    @given(perturbed_texts())
+    def test_pipe_is_read_in_pieces(self, text):
+        self.assert_read_in_pieces(text)
+
+    @pytest.mark.parametrize("text, fragment", PARSE_ERROR_CASES)
+    def test_pipe_is_read_in_pieces_on_error_cases(self, text, fragment):
+        self.assert_read_in_pieces(text)
+
+    def test_large_pipe_is_read_in_pieces(self):
+        g = random_tree(3000, 4)
+        for t in (write_graph(g), "# c\n" + write_graph(g)):
+            fh = Unseekable(t)
+            assert parse_graph(fh) == g
+            assert len(fh.sizes) > 1 and set(fh.sizes) == {graph_module._CHUNK}
+
     @settings(deadline=None, max_examples=100)
     @given(perturbed_texts())
     def test_fallback_rereads_from_the_starting_position(self, text):
-        # The per-line loop rereads the file from where the parse began,
-        # not from its first byte.
+        # The parse begins at the file's current position, not at its
+        # first byte.
         def after_preamble(t):
             fh = io.StringIO("preamble 1 2 3\n" + t)
             fh.readline()
@@ -379,6 +411,39 @@ class TestHugeHeader:
             with pytest.raises(CapacityError, match=r"^n=99999999999999999999 "):
                 parse("99999999999999999999 0\n")
 
+    # Outcomes reference_parse cannot model, as it raises no CapacityError:
+    # an id of 2^70 fits no array('q'), and n = 10^20 - 1 is above sys.maxsize.
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            (
+                "99999999999999999999 1\n0 1 2\n",
+                GraphParseError,
+                "line 2: expected two fields, got 3",
+            ),
+            (
+                "99999999999999999999 1\n0 1180591620717411303424\n",
+                CapacityError,
+                f"n=99999999999999999999 exceeds the vertex limit of {sys.maxsize}",
+            ),
+            (
+                "99999999999999999999 2\n0 1180591620717411303424\n"
+                "1180591620717411303424 0\n0 x\n",
+                GraphParseError,
+                "line 2: vertex id 1180591620717411303424 out of range for n=99999999999999999999",
+            ),
+            (
+                "3 2\n0 1\n1 0\n0 1180591620717411303424\n",
+                GraphParseError,
+                "line 3: duplicate edge (0, 1)",
+            ),
+        ],
+    )
+    def test_ids_beyond_64_bits_under_huge_headers(self, text, error, message):
+        for parse in (parse_graph, from_file):
+            with pytest.raises(error, match=rf"^{re.escape(message)}$"):
+                parse(text)
+
 
 class TestMemoryShape:
     def test_caller_array_is_never_changed(self):
@@ -391,16 +456,20 @@ class TestMemoryShape:
     def test_parsed_graph_holds_at_most_16_bytes_per_vertex(self, family):
         # Row tuples sharing one int per vertex held 96 B per vertex here,
         # and their build peaked at 195 B.
+        # Text not in write_graph's shape is read into the same flat array:
+        # a comment first, or after the header, used to cost 219 B.
         g = path(10**5) if family == "path" else random_tree(10**5, 1)
         text = write_graph(g)
-        tracemalloc.start()
-        try:
-            h = parse_graph(text)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert h == g
-        assert held <= 16 * g.n and peak <= 48 * g.n
+        header, _, edges = text.partition("\n")
+        for t in (text, "# c\n" + text, f"{header}\n# c\n{edges}"):
+            tracemalloc.start()
+            try:
+                h = parse_graph(t)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert h == g
+            assert held <= 16 * g.n and peak <= 48 * g.n
 
 
 class TestBuildCheck:
