@@ -297,17 +297,17 @@ def parse_graph(source: str | TextIO) -> Graph:
     line number, and the first bad line wins whatever the kind of error.
 
     The text is read once, from a file's current position, in pieces of
-    about 64 KB (see _pieces) that end in "\n", so it is never held whole
-    and its lines are numbered as in text.splitlines().  Every edge goes
-    into one array('q') of endpoints, which Graph builds from: no string
-    per line and no tuple per edge is kept.  A piece in write_graph's shape
-    (every line two ASCII decimal fields separated by spaces or tabs and
-    ending in "\n") is tokenized in one go; any other piece (comments,
-    blank lines, CRs, other digits or signs) is read line by line, and an
-    error is raised on the line where it is found.  The pieces are small
-    because matching a large one grows the regex engine's backtracking
-    stack, and that memory stays with the process: 1 MB pieces left about
-    27 MB more resident.
+    about 64 KB (see _pieces) that end in a line break, so it is never held
+    whole and its lines are numbered as in text.splitlines().  Every edge
+    goes into one array('q') of endpoints, which Graph builds from: no
+    string per line and no tuple per edge is kept.  A piece in
+    write_graph's shape (every line two ASCII decimal fields separated by
+    spaces or tabs and ending in "\n") is tokenized in one go; any other
+    piece (comments, blank lines, CRs, other digits or signs) is read line
+    by line, and an error is raised on the line where it is found.  The
+    pieces are small because matching a large one grows the regex engine's
+    backtracking stack, and that memory stays with the process: 1 MB
+    pieces left about 27 MB more resident.
     """
     n = m = -1  # until the header is read
     head = 0  # the header's line
@@ -386,16 +386,19 @@ def parse_graph(source: str | TextIO) -> Graph:
 
 
 def _pieces(source: str | TextIO) -> Iterator[str]:
-    """The source as pieces that end right after a "\n", but for the last:
-    slices of a string or reads from a file of _CHUNK characters, each cut
-    after its last "\n" and the rest carried into the next piece."""
+    """The source as pieces that end right after a line break, but for the
+    last: slices of a string or reads from a file of _CHUNK characters, each
+    cut after its last "\n", or after a later "\r" that is not its last
+    character (which a "\n" in the next read may follow), and the rest
+    carried into the next piece.  No piece ends between the two characters
+    of a "\r\n", so the pieces' lines are those of text.splitlines()."""
     if isinstance(source, str):
         reads = (source[i:i + _CHUNK] for i in range(0, len(source), _CHUNK))
     else:
         reads = iter(lambda: source.read(_CHUNK), "")
     rest = ""  # the unfinished line the reads so far end in
     for chunk in reads:
-        cut = chunk.rfind("\n") + 1
+        cut = max(chunk.rfind("\n"), chunk.rfind("\r", 0, len(chunk) - 1)) + 1
         if not cut:
             rest += chunk
             continue
@@ -422,46 +425,34 @@ def cover_number(g: Graph, vertices: Iterable[int]) -> int:
     return sum(o[v + 1] - o[v] for v in as_vertex_set(g, vertices))
 
 
+def _hits(g: Graph, dset: Iterable[int], closed: bool) -> list[int]:
+    """For each vertex, the members of dset whose closed (closed=True) or
+    open neighbourhood holds it."""
+    hits = [0] * g.n
+    for v in dset:
+        if closed:
+            hits[v] += 1
+        for u in g._row(v):
+            hits[u] += 1
+    return hits
+
+
 def is_dominating(g: Graph, d: Iterable[int]) -> bool:
     """True iff every vertex is in d or adjacent to a vertex of d."""
-    dset = as_vertex_set(g, d)
-    covered = bytearray(g.n)
-    for v in dset:
-        covered[v] = 1
-        for u in g._row(v):
-            covered[u] = 1
-    return 0 not in covered
+    return 0 not in _hits(g, as_vertex_set(g, d), True)
 
 
 def is_total_dominating(g: Graph, d: Iterable[int]) -> bool:
     """True iff every vertex (members included) has a neighbor in d."""
     if g.has_isolated_vertex():
         raise DomainError("total domination is undefined with isolated vertices")
-    dset = as_vertex_set(g, d)
-    covered = bytearray(g.n)
-    for v in dset:
-        for u in g._row(v):
-            covered[u] = 1
-    return 0 not in covered
+    return 0 not in _hits(g, as_vertex_set(g, d), False)
 
 
 def is_efficient_dominating(g: Graph, d: Iterable[int]) -> bool:
     """True iff closed neighborhoods of d partition V: each non-member has
     exactly one neighbor in d and members have none."""
-    dset = as_vertex_set(g, d)
-    hits = [0] * g.n
-    member = bytearray(g.n)
-    for v in dset:
-        member[v] = 1
-        for u in g._row(v):
-            hits[u] += 1
-    for v in range(g.n):
-        if member[v]:
-            if hits[v] != 0:
-                return False
-        elif hits[v] != 1:
-            return False
-    return True
+    return _hits(g, as_vertex_set(g, d), True).count(1) == g.n
 
 
 def private_neighbors(g: Graph, v: int, d: Iterable[int]) -> tuple[int, ...]:
@@ -473,14 +464,8 @@ def private_neighbors(g: Graph, v: int, d: Iterable[int]) -> tuple[int, ...]:
     g._check_vertex(v)
     if v not in dset:
         raise DomainError(f"vertex {v} is not a member of the given set")
-    taken = bytearray(g.n)
-    for w in dset:
-        if w == v:
-            continue
-        taken[w] = 1
-        for u in g._row(w):
-            taken[u] = 1
-    return tuple(u for u in sorted((v, *g._row(v))) if not taken[u])
+    hits = _hits(g, dset, True)
+    return tuple(u for u in sorted((v, *g._row(v))) if hits[u] == 1)
 
 
 def first_unreachable(g: Graph, root: int = 0) -> int | None:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 import corpus
@@ -18,6 +20,7 @@ from domcover import (
     solve_block_graph,
     solve_tree,
 )
+from domcover.blockdp import _solve_cut_tree
 from domcover.treedp import _decode, _keys
 
 
@@ -310,3 +313,29 @@ class TestScale:
         assert lo.size == hi.size
         assert is_dominating(g, lo.witness) and is_dominating(g, hi.witness)
         assert lo.cover <= hi.cover
+
+
+class TestMemoryShape:
+    @pytest.mark.parametrize("shape", ["random", "fan", "spider"])
+    def test_scans_hold_at_most_96_bytes_per_position(self, shape):
+        # The ring of waiting parents has one slot per position under a
+        # fan's one cut vertex, and a spider of two-vertex legs keeps nearly
+        # every leg's middle vertex in it at once: 43 and 48-59 B, and
+        # 16-20 B on a random block graph.
+        if shape == "random":
+            g = random_block_graph(10**5, 1)
+        elif shape == "fan":
+            g = Graph(
+                10**5 + 1, [e for i in range(10**5 // 2) for e in _triangle(0, 2 * i + 1, 2 * i + 2)]
+            )
+        else:
+            g = corpus.spider((2,) * (10**5 // 2))
+        ct = build_cut_tree(g)
+        for objective in ("min", "max"):
+            tracemalloc.start()
+            try:
+                _solve_cut_tree(ct, objective)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 96 * len(ct.order)

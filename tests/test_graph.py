@@ -457,11 +457,16 @@ class TestMemoryShape:
         # Row tuples sharing one int per vertex held 96 B per vertex here,
         # and their build peaked at 195 B.
         # Text not in write_graph's shape is read into the same flat array:
-        # a comment first, or after the header, used to cost 219 B.
+        # a comment first, or after the header, used to cost 219 B.  Text
+        # with "\r" line endings is cut into pieces at its CRs as a string
+        # and as a file opened with newline="", where it once came through
+        # as one piece and peaked at 96 B.
         g = path(10**5) if family == "path" else random_tree(10**5, 1)
         text = write_graph(g)
         header, _, edges = text.partition("\n")
-        for t in (text, "# c\n" + text, f"{header}\n# c\n{edges}"):
+        cr = text.replace("\n", "\r")
+        texts = (text, "# c\n" + text, f"{header}\n# c\n{edges}", cr, io.StringIO(cr, newline=""))
+        for t in texts:
             tracemalloc.start()
             try:
                 h = parse_graph(t)

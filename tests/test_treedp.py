@@ -322,7 +322,7 @@ class TestMemoryShape:
     @pytest.mark.parametrize("shape", ["star", "spider"])
     def test_widest_rings_hold_at_most_96_bytes_per_position(self, shape):
         # A star's ring has one slot per position; a spider of two-vertex legs
-        # has half as many, nearly all holding a parent at once.  43 and 57 B.
+        # has half as many, nearly all holding a parent at once.  44 and 58 B.
         g = star(10**5 - 1) if shape == "star" else spider((2,) * (10**5 // 2))
         t = root_tree(g, 0)
         for objective in ("min", "max"):
