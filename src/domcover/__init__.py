@@ -56,10 +56,8 @@ from .products import (
     ProductValidation,
     gamma_lex_product,
     lex_product,
-    pair_to_vertex,
     product_cover_extrema,
     validate_product_theorem,
-    vertex_to_pair,
 )
 from .treedp import CoverSolution, RootedTree, root_tree, solve_tree, tree_cover_extrema
 
@@ -105,7 +103,6 @@ __all__ = [
     "is_p4_free",
     "is_total_dominating",
     "lex_product",
-    "pair_to_vertex",
     "parse_graph",
     "path",
     "private_neighbors",
@@ -120,6 +117,5 @@ __all__ = [
     "total_cover_extrema",
     "tree_cover_extrema",
     "validate_product_theorem",
-    "vertex_to_pair",
     "write_graph",
 ]

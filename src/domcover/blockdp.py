@@ -83,7 +83,7 @@ def build_cut_tree(g: Graph) -> CutTree:
     for v in cuts:
         is_cut[v] = 1
     noncut = tuple(tuple(v for v in block if not is_cut[v]) for block in blocks)
-    blocks_of_cut: list[list[int]] = [[] for _ in range(g.n)]
+    blocks_of_cut: dict[int, list[int]] = {v: [] for v in cuts}
     for i, block in enumerate(blocks):
         for v in block:
             if is_cut[v]:

@@ -135,42 +135,41 @@ def _witness_filter(result, include: bool) -> dict:
     }
 
 
-def _run_command(args: argparse.Namespace) -> tuple[dict, dict, str | None]:
-    """Returns (input descriptor, results, raw text override)."""
+def _run_command(args: argparse.Namespace) -> tuple[dict, dict]:
+    """Returns (input descriptor, results)."""
     cmd = args.command
     if cmd in ("product", "validate-product"):
         g, desc_g = _load_graph(args, "G")
         h, desc_h = _load_graph(args, "H")
         desc = {"G": desc_g, "H": desc_h}
         if cmd == "product":
-            return desc, asdict(product_cover_extrema(g, h, args.objective)), None
+            return desc, asdict(product_cover_extrema(g, h, args.objective))
         record = validate_product_theorem(g, h)
         res = asdict(record)
         res["agree"] = record.agree
-        return desc, res, None
+        return desc, res
 
     g, desc = _load_graph(args)
     if cmd == "gamma":
-        return desc, {"gamma": oracle.gamma(g)}, None
+        return desc, {"gamma": oracle.gamma(g)}
     if cmd == "cover":
-        return desc, _witness_filter(oracle.cover_extrema(g), args.witness), None
+        return desc, _witness_filter(oracle.cover_extrema(g), args.witness)
     if cmd == "total":
-        return desc, _witness_filter(oracle.total_cover_extrema(g), args.witness), None
+        return desc, _witness_filter(oracle.total_cover_extrema(g), args.witness)
     if cmd == "tree":
         sol = solve_tree(root_tree(g, 0), args.objective)
-        return desc, _witness_filter(sol, args.witness), None
+        return desc, _witness_filter(sol, args.witness)
     if cmd == "block":
         sol = solve_block_graph(g, args.objective)
-        return desc, _witness_filter(sol, args.witness), None
+        return desc, _witness_filter(sol, args.witness)
     if cmd == "bounds":
-        return desc, asdict(audit_bounds(g)), None
+        return desc, asdict(audit_bounds(g))
     if cmd == "enum":
         sets = oracle.enumerate_gamma_sets(g)
         gamma = len(sets[0]) if sets else 0
-        return desc, {"gamma": gamma, "count": len(sets), "gamma_sets": list(sets)}, None
+        return desc, {"gamma": gamma, "count": len(sets), "gamma_sets": list(sets)}
     # gen
-    text = write_graph(g)
-    return desc, {"edge_list": text}, text
+    return desc, {"edge_list": write_graph(g)}
 
 
 def _flatten(obj, prefix: str, write) -> None:
@@ -199,8 +198,6 @@ def _scalar(x) -> str:
         return "null"
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, str):
-        return x
     return str(x)
 
 
@@ -209,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         started = time.perf_counter()
-        desc, results, raw = _run_command(args)
+        desc, results = _run_command(args)
         elapsed_ms = int((time.perf_counter() - started) * 1000)
     except _UsageError as exc:
         print(str(exc).rstrip(), file=sys.stderr)
@@ -229,8 +226,8 @@ def main(argv: list[str] | None = None) -> int:
         while batch := "".join(islice(chunks, _BATCH)):
             sys.stdout.write(batch)
         sys.stdout.write("\n")
-    elif raw is not None:
-        sys.stdout.write(raw)
+    elif args.command == "gen":
+        sys.stdout.write(results["edge_list"])
     else:
         _flatten(results, "", sys.stdout.write)
     print(f"elapsed_ms: {elapsed_ms}", file=sys.stderr)

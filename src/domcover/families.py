@@ -251,7 +251,7 @@ def audit_bounds(g: Graph) -> BoundAudit:
     else:
         checks.append(_skip("p4_free_cover_floor"))
         checks.append(_skip("p4_free_cover_ceiling"))
-    if g.m == n - 1 and all(len(row) <= 2 for row in g.adjacency):
+    if g.m == n - 1 and max(g.degrees()) <= 2:
         lo, hi = _path_bracket(n)
         checks.append(_check("path_cover_bracket_low", lo, rep.cover_min))
         checks.append(_check("path_cover_bracket_high", rep.cover_max, hi))

@@ -32,8 +32,9 @@ class Graph:
     ascending id, so iteration order is deterministic everywhere downstream:
     offsets has n + 1 entries and targets 2m.  Both are array('i'), or
     array('q') when n or 2m does not fit in 32 bits.  No object is kept per
-    vertex or per edge; adjacency, the tuple of row tuples that the small-
-    graph searches read, is built on first use and cached.
+    vertex or per edge, and nothing else is kept: adjacency (a tuple of row
+    tuples) and the neighbourhood bitmasks that the small-graph searches
+    read are built from the arrays on each call.
 
     Construction validates everything once: ids in range, no self-loops, no
     duplicate edges.  Edges may come from any iterable of pairs, or from an
@@ -54,7 +55,7 @@ class Graph:
     not fit in memory.
     """
 
-    __slots__ = ("n", "_m", "_offsets", "_targets", "_adj", "_closed", "_open")
+    __slots__ = ("n", "_m", "_offsets", "_targets")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | array = ()):
         if n < 0:
@@ -80,9 +81,6 @@ class Graph:
         self._m = len(ends) // 2
         self._offsets = offsets
         self._targets = targets
-        self._adj: tuple[tuple[int, ...], ...] | None = None
-        self._closed: list[int] | None = None
-        self._open: list[int] | None = None
 
     @property
     def m(self) -> int:
@@ -90,12 +88,9 @@ class Graph:
 
     @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """The rows as tuples, built on first use; meant for small graphs."""
-        if self._adj is None:
-            o = self._offsets
-            entries = tuple(self._targets)
-            self._adj = tuple(map(entries.__getitem__, map(slice, o, islice(o, 1, None))))
-        return self._adj
+        """The rows as tuples, built on each call; meant for small graphs."""
+        o = self._offsets
+        return tuple(map(tuple(self._targets).__getitem__, map(slice, o, islice(o, 1, None))))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         self._check_vertex(v)
@@ -129,16 +124,12 @@ class Graph:
         return any(map(eq, o, islice(o, 1, None)))
 
     def closed_masks(self) -> list[int]:
-        """Per-vertex bitmask of N[v].  Only sensible for small graphs."""
-        if self._closed is None:
-            self._closed = [(1 << v) | _bits(row) for v, row in enumerate(self.adjacency)]
-        return self._closed
+        """Per-vertex bitmask of N[v], built on each call; meant for small graphs."""
+        return [m | 1 << v for v, m in enumerate(self.open_masks())]
 
     def open_masks(self) -> list[int]:
-        """Per-vertex bitmask of N(v)."""
-        if self._open is None:
-            self._open = [_bits(row) for row in self.adjacency]
-        return self._open
+        """Per-vertex bitmask of N(v), built on each call; meant for small graphs."""
+        return list(map(_bits, self.adjacency))
 
     def _row(self, v: int) -> array:
         """The neighbours of v, ascending, as a copy of its slice of targets."""
@@ -577,26 +568,21 @@ def blocks_are_cliques(g: Graph, blocks: tuple[tuple[int, ...], ...]) -> bool:
 
 
 def is_p4_free(g: Graph) -> bool:
-    """True iff no 4 vertices induce a path.
+    """True iff no 4 vertices induce a path, i.e. the graph is a cograph.
 
-    Plain quartic scan: an induced subgraph on 4 vertices is a path exactly
-    when it has 3 edges and degree multiset {1, 1, 2, 2}.
+    An induced path a-b-c-d has middle edge bc, an end a in N(b) outside
+    N[c], an end d in N(c) outside N[b], and no edge ad.  So each edge bc
+    is tried as the middle, with rows as sets: some such a must miss some
+    such d.  Read backwards the path has middle cb, so one direction per
+    edge covers both.  At most O(m * maxdeg^2) set work, and no memory
+    beyond a few rows at a time.
     """
-    n = g.n
-    edge_set = {(u, v) for u, v in g.edges()}
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                for d in range(c + 1, n):
-                    quad = (a, b, c, d)
-                    degs = [0, 0, 0, 0]
-                    count = 0
-                    for i in range(4):
-                        for j in range(i + 1, 4):
-                            if (quad[i], quad[j]) in edge_set:
-                                count += 1
-                                degs[i] += 1
-                                degs[j] += 1
-                    if count == 3 and sorted(degs) == [1, 1, 2, 2]:
-                        return False
+    for b in range(g.n):
+        nb = set(g._row(b))
+        for c in nb:
+            if c > b:
+                nc = set(g._row(c))
+                ends = nc - nb - {b}
+                if ends and any(ends - set(g._row(a)) for a in nb - nc - {c}):
+                    return False
     return True

@@ -2,20 +2,22 @@
 
 Everything here searches vertex-subset bitmaps and is intentionally
 exponential; a hard cap keeps calls at desk scale.  One branching search
-serves every query: it branches on the lowest uncovered vertex over its
-dominators in ascending order and bans each dominator once its branch is
-done, so every covering set comes out exactly once.  Each mask has a cost
-(1 for every query here; the product module weighs its own tokens).  The
-domination numbers are the least budget at which it yields a set;
-enumeration, cover extrema and efficient domination stream over its sets at
-that budget.
+serves every query, and it reads masks only: domination offers each vertex's
+closed neighbourhood mask, total domination its open one, and the product
+module its own tokens.  The search reads off each vertex's dominators (the
+masks that hold it, in index order), branches on the lowest uncovered vertex
+over them and bans each dominator once its branch is done, so every covering
+set comes out exactly once.  Each mask has a cost (1 for every query here;
+the product module weighs its own tokens).  The domination numbers are the
+least budget at which it yields a set; enumeration, cover extrema and
+efficient domination stream over its sets at that budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import CapacityError, DomainError
 from .graph import Graph
@@ -44,15 +46,20 @@ def _check(g: Graph) -> None:
         raise CapacityError(f"n={g.n} exceeds the exhaustive cap of {ORACLE_CAP}")
 
 
-def _covering_sets(
-    masks: list[int], costs: list[int], dominators: Sequence, n: int
-) -> tuple[int, Iterator[Cover]]:
+def _covering_sets(masks: list[int], costs: list[int], n: int) -> tuple[int, Iterator[Cover]]:
     """The least total cost of indices whose masks union to the full n-bit
     set, and a stream of every index set of that cost, once each, sorted.
 
-    Every cost is a positive integer.  dominators[v] lists, ascending, the
-    indices whose mask covers v.
+    Every cost is a positive integer.  A mask of 0 is never chosen.  The
+    search branches over dominators[v], the indices whose mask holds v, in
+    ascending order; walking each mask's bits in index order builds them so.
     """
+    dominators: list[list[int]] = [[] for _ in range(n)]
+    for w, mask in enumerate(masks):
+        while mask:
+            low = mask & -mask
+            dominators[low.bit_length() - 1].append(w)
+            mask ^= low
     full = (1 << n) - 1
     # no index covers more than num / den vertices per unit of its cost
     num, den = max(((m.bit_count(), c) for m, c in zip(masks, costs)), key=lambda r: r[0] / r[1])
@@ -86,15 +93,14 @@ def _covering_sets(
 
 def _plain(g: Graph) -> tuple[int, Iterator[Cover]]:
     _check(g)
-    dominators = [tuple(sorted((v, *g.adjacency[v]))) for v in range(g.n)]
-    return _covering_sets(g.closed_masks(), [1] * g.n, dominators, g.n)
+    return _covering_sets(g.closed_masks(), [1] * g.n, g.n)
 
 
 def _total(g: Graph) -> tuple[int, Iterator[Cover]]:
     _check(g)
     if g.has_isolated_vertex():
         raise DomainError("total domination is undefined with isolated vertices")
-    return _covering_sets(g.open_masks(), [1] * g.n, g.adjacency, g.n)
+    return _covering_sets(g.open_masks(), [1] * g.n, g.n)
 
 
 def gamma(g: Graph) -> int:

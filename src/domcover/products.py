@@ -22,26 +22,6 @@ from .graph import Graph, is_connected
 from . import oracle
 
 
-def pair_to_vertex(g_id: int, h_id: int, h_order: int) -> int:
-    """Flatten a (g, h) pair to a product vertex id."""
-    if h_order <= 0:
-        raise DomainError("h_order must be positive")
-    if not 0 <= h_id < h_order:
-        raise DomainError(f"h id {h_id} out of range for order {h_order}")
-    if g_id < 0:
-        raise DomainError(f"g id {g_id} out of range")
-    return g_id * h_order + h_id
-
-
-def vertex_to_pair(v: int, h_order: int) -> tuple[int, int]:
-    """Inverse of pair_to_vertex."""
-    if h_order <= 0:
-        raise DomainError("h_order must be positive")
-    if v < 0:
-        raise DomainError(f"vertex {v} out of range")
-    return divmod(v, h_order)
-
-
 def lex_product(g: Graph, h: Graph) -> Graph:
     """The lexicographic product G o H on |V(G)| * |V(H)| vertices."""
     if g.n == 0 or h.n == 0:
@@ -78,7 +58,7 @@ def gamma_lex_product(g: Graph, h: Graph) -> int:
     """
     _check_base(g, h)
     oracle._check(g)  # the search on G is exhaustive
-    return _projection_search(g, oracle.gamma(h))[0]
+    return _projection_search(g.open_masks(), oracle.gamma(h))[0]
 
 
 @dataclass(frozen=True)
@@ -125,23 +105,18 @@ def _case(ing: dict[str, int]) -> str:
     return "mixed_case"
 
 
-def _projection_search(g: Graph, gamma_h: int) -> tuple[int, Iterator[oracle.Cover]]:
-    """gamma(G o H) and a stream of the least-cost token covers of G.
+def _projection_search(nbrs: list[int], gamma_h: int) -> tuple[int, Iterator[oracle.Cover]]:
+    """gamma(G o H) and a stream of the least-cost token covers of G, given
+    G's open neighbourhood masks.
 
     Vertex v of G offers token 2v (mask N(v), cost 1, v in J) and token
     2v + 1 (mask N[v], cost gamma(H), v in I).  Each least-cost cover projects
     onto an optimal P.
     """
-    nbrs = g.open_masks()
-    masks = [m for v in range(g.n) for m in (nbrs[v], nbrs[v] | 1 << v)]
     # with gamma(H) = 1 token 2w + 1 covers more than token 2w at the same
-    # cost, so only it is offered and each optimal P comes out once
-    kinds = (0, 1) if gamma_h > 1 else (1,)
-    dominators = [
-        sorted((2 * v + 1, *(2 * w + k for w in g.adjacency[v] for k in kinds)))
-        for v in range(g.n)
-    ]
-    return oracle._covering_sets(masks, [1, gamma_h] * g.n, dominators, g.n)
+    # cost, so token 2w gets the empty mask and each optimal P comes out once
+    masks = [m for v, nv in enumerate(nbrs) for m in (nv if gamma_h > 1 else 0, nv | 1 << v)]
+    return oracle._covering_sets(masks, [1, gamma_h] * len(nbrs), len(nbrs))
 
 
 def _projection(g: Graph, ing: dict[str, int]) -> tuple[int, int, int]:
@@ -151,7 +126,7 @@ def _projection(g: Graph, ing: dict[str, int]) -> tuple[int, int, int]:
     """
     hn, gamma_h = ing["order_H"], ing["gamma_H"]
     nbrs, degs = g.open_masks(), g.degrees()
-    size, covers = _projection_search(g, gamma_h)
+    size, covers = _projection_search(nbrs, gamma_h)
     lows, highs = [], []
     for cover in covers:
         members = {t >> 1 for t in cover}

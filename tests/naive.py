@@ -4,7 +4,7 @@ Nothing here calls a domcover search: a Graph is read only for its order,
 adjacency rows and degrees, and every answer comes from a lexicographic
 combination scan over all k-subsets for k = 1, 2, ... .  The first set met
 with a given cover is therefore the lexicographically first, which is the
-tie-break the oracle documents.
+tie-break the oracle documents.  is_p4_free scans every 4-subset.
 """
 
 from __future__ import annotations
@@ -71,3 +71,23 @@ def efficient_dominating_set(g: Graph) -> tuple[int, ...] | None:
                 if m == full:
                     found.append(combo)
     return min(found, default=None)
+
+
+def is_p4_free(g: Graph) -> bool:
+    """True iff no 4 vertices induce a path.
+
+    Plain quartic scan: an induced subgraph on 4 vertices is a path exactly
+    when it has 3 edges and degree multiset {1, 1, 2, 2}.
+    """
+    adj = g.adjacency
+    for quad in combinations(range(g.n), 4):
+        degs = [0, 0, 0, 0]
+        count = 0
+        for i, j in combinations(range(4), 2):
+            if quad[j] in adj[quad[i]]:
+                count += 1
+                degs[i] += 1
+                degs[j] += 1
+        if count == 3 and sorted(degs) == [1, 1, 2, 2]:
+            return False
+    return True

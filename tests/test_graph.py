@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus
+import naive
 from domcover import (
     CapacityError,
     DomainError,
@@ -17,6 +18,7 @@ from domcover import (
     GraphParseError,
     as_vertex_set,
     blocks_and_cut_vertices,
+    complete,
     cover_number,
     cycle,
     is_block_graph,
@@ -445,6 +447,7 @@ class TestHugeHeader:
                 parse(text)
 
 
+@pytest.mark.memory
 class TestMemoryShape:
     def test_caller_array_is_never_changed(self):
         ends = array("q", [0, 1, 1, 2, 2, 3])
@@ -592,12 +595,21 @@ class TestStructure:
         diamond = Graph(4, ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3)))
         assert not is_block_graph(diamond)
 
-    def test_is_p4_free(self):
+    def test_is_p4_free(self, corpus_all):
         assert is_p4_free(cycle(4))
         assert is_p4_free(star(5))
         assert is_p4_free(Graph(4, tuple((u, v) for u in range(4) for v in range(u + 1, 4))))
         assert not is_p4_free(path(4))
         assert not is_p4_free(cycle(5))
+        # Against the quartic scan, which visits every 4-subset of a cograph.
+        # The disconnected inputs are 2K2, P4 plus a vertex, and an edgeless graph.
+        cographs = [complete(n) for n in range(1, 9)] + [star(k) for k in range(1, 9)]
+        cographs.append(Graph(6, [(u, v) for u in range(3) for v in range(3, 6)]))  # K_{3,3}
+        others = [Graph(4, ((0, 1), (2, 3))), Graph(5, ((0, 1), (1, 2), (2, 3))), Graph(5, ())]
+        for g in cographs:
+            assert is_p4_free(g) and naive.is_p4_free(g)
+        for g in corpus_all + tuple(others):
+            assert is_p4_free(g) == naive.is_p4_free(g)
 
     def test_is_connected(self):
         assert is_connected(path(5)) and is_connected(Graph(1, ()))

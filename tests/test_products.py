@@ -14,12 +14,10 @@ from domcover import (
     gamma,
     gamma_lex_product,
     lex_product,
-    pair_to_vertex,
     path,
     product_cover_extrema,
     star,
     validate_product_theorem,
-    vertex_to_pair,
 )
 
 SMALL_G = [path(2), path(3), path(4), cycle(3), cycle(4), star(3)]
@@ -38,25 +36,15 @@ class TestConstruction:
         p = lex_product(g, h)
         for a in range(g.n):
             for x in range(h.n):
-                v = pair_to_vertex(a, x, h.n)
-                assert p.degree(v) == g.degree(a) * h.n + h.degree(x)
-
-    def test_pair_vertex_bijection(self):
-        hn = 4
-        seen = set()
-        for a in range(3):
-            for x in range(hn):
-                v = pair_to_vertex(a, x, hn)
-                assert vertex_to_pair(v, hn) == (a, x)
-                seen.add(v)
-        assert seen == set(range(12))
+                assert p.degree(a * h.n + x) == g.degree(a) * h.n + h.degree(x)
 
     def test_adjacency_rule(self):
         g, h = path(2), path(2)  # product of two edges
         p = lex_product(g, h)
-        # different G coordinate: always adjacent; same coordinate: H edge
-        assert p.has_edge(pair_to_vertex(0, 0, 2), pair_to_vertex(1, 1, 2))
-        assert p.has_edge(pair_to_vertex(0, 0, 2), pair_to_vertex(0, 1, 2))
+        # different G coordinate: always adjacent; same coordinate: H edge.
+        # (g, h) is vertex g * |V(H)| + h: (0, 0) is 0, (0, 1) is 1, (1, 1) is 3
+        assert p.has_edge(0, 3)
+        assert p.has_edge(0, 1)
         assert p.m == 6  # K4
 
 
