@@ -21,7 +21,8 @@ treedp.root_tree roots a tree, and the tree DP's two position scans
 (treedp._solve_positions) solve it; block positions add the block states.
 Each state carries the tree solver's integer key, size*K + sign*cover (see
 treedp._keys).  Non-cut members of one block are interchangeable, so "one
-non-cut selected" is a single option and the witness takes the smallest id.
+non-cut selected" is a single option, and the smallest is the vertex the
+block's position adds, as a tree position adds its own vertex.
 """
 
 from __future__ import annotations
@@ -43,14 +44,15 @@ class CutTree:
     a block's members and a cut vertex's blocks in ascending order, so
     siblings take consecutive positions in ascending id, and every parent
     comes before its children.  The positions are flat arrays, of the
-    graph's own int type (see treedp.RootedTree):
+    graph's own int type, and mean what a treedp.RootedTree's mean:
 
-      order     order[i] is the block index or vertex id at position i;
+      order     order[i] is the vertex position i adds to a witness: the
+                cut vertex, or the block's smallest non-cut member (-1
+                when it has none);
       is_block  is_block[i] is 1 for a block and 0 for a cut vertex, in an
                 array('b') that the DP copies into its bytearray of kinds;
       up        up[i] is the position of i's parent, -1 at the root block;
-      degree    degree[i] is the degree of the cut vertex at i, or of each
-                non-cut member of the block at i.
+      degree    degree[i] is the degree of order[i], 0 where it is -1.
 
     up never decreases along the positions, as in a RootedTree, and the DP
     relies on it (see treedp._solve_positions).
@@ -59,19 +61,10 @@ class CutTree:
     graph: Graph
     blocks: tuple[tuple[int, ...], ...]
     cut_vertices: tuple[int, ...]
-    noncut_members: tuple[tuple[int, ...], ...]
     order: array
     is_block: array
     up: array
     degree: array
-
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """(block index, cut vertex) pairs, lexicographic."""
-        order = self.order
-        return tuple(sorted(
-            (x, order[p]) if b else (order[p], x)
-            for x, b, p in zip(order[1:], self.is_block[1:], self.up[1:])
-        ))
 
 
 def build_cut_tree(g: Graph) -> CutTree:
@@ -82,14 +75,18 @@ def build_cut_tree(g: Graph) -> CutTree:
     is_cut = bytearray(g.n)
     for v in cuts:
         is_cut[v] = 1
-    noncut = tuple(tuple(v for v in block if not is_cut[v]) for block in blocks)
+    code = g._targets.typecode
+    # one pass over the blocks: each cut vertex's blocks, and each block's
+    # smallest non-cut member (members are sorted), -1 when it has none
     blocks_of_cut: dict[int, list[int]] = {v: [] for v in cuts}
+    adds = array(code, [-1]) * len(blocks)
     for i, block in enumerate(blocks):
         for v in block:
             if is_cut[v]:
                 blocks_of_cut[v].append(i)
+            elif adds[i] < 0:
+                adds[i] = v
 
-    code = g._targets.typecode
     order = array(code, [0])
     is_block = array("b", [1])
     up = array(code, [-1])
@@ -102,11 +99,11 @@ def build_cut_tree(g: Graph) -> CutTree:
                 order.append(y)
                 is_block.append(not block)
                 up.append(i)
+    # the walk needed block indices; a block position holds its vertex
+    order = array(code, (adds[x] if b else x for x, b in zip(order, is_block)))
     o = g._offsets
-    degree = array(
-        code, (len(blocks[x]) - 1 if b else o[x + 1] - o[x] for x, b in zip(order, is_block))
-    )
-    return CutTree(g, blocks, cuts, noncut, order, is_block, up, degree)
+    degree = array(code, (o[x + 1] - o[x] if x >= 0 else 0 for x in order))
+    return CutTree(g, blocks, cuts, order, is_block, up, degree)
 
 
 def solve_block_graph(g: Graph, objective: str) -> CoverSolution:
@@ -122,10 +119,7 @@ def solve_block_graph(g: Graph, objective: str) -> CoverSolution:
 
 def _solve_cut_tree(tree: CutTree, objective: str) -> CoverSolution:
     """solve_block_graph's DP on a cut-tree that is already built."""
-    return _solve_positions(
-        tree.graph, objective, tree.order, tree.up, tree.degree, tree.is_block,
-        tree.noncut_members,
-    )
+    return _solve_positions(tree.graph, objective, tree.order, tree.up, tree.degree, tree.is_block)
 
 
 def block_cover_extrema(g: Graph):

@@ -51,6 +51,7 @@ def _add_input_flags(sub: argparse.ArgumentParser, suffix: str = "") -> None:
         f"--params{suffix}",
         metavar="K=V",
         nargs="*",
+        action="extend",
         default=[],
         help=f"integer parameters{tag}",
     )
@@ -93,16 +94,18 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _parse_params(pairs: list[str]) -> dict[str, int]:
+def _parse_params(pairs: list[str], flag: str) -> dict[str, int]:
     params: dict[str, int] = {}
     for pair in pairs:
         key, sep, value = pair.partition("=")
         if not sep or not key:
-            raise _UsageError(f"--params entries look like K=V, got {pair!r}")
+            raise _UsageError(f"{flag} entries look like K=V, got {pair!r}")
+        if key in params:
+            raise _UsageError(f"{flag} gives {key!r} more than once")
         try:
             params[key] = int(value)
         except ValueError:
-            raise _UsageError(f"--params values must be integers, got {pair!r}") from None
+            raise _UsageError(f"{flag} values must be integers, got {pair!r}") from None
     return params
 
 
@@ -110,11 +113,14 @@ def _load_graph(args: argparse.Namespace, suffix: str = "") -> tuple[Graph, dict
     path = getattr(args, f"input{suffix}")
     family = getattr(args, f"family{suffix}")
     seed = getattr(args, f"seed{suffix}")
-    params = _parse_params(getattr(args, f"params{suffix}"))
-    flag = f"--input{suffix}/--family{suffix}"
+    params = _parse_params(getattr(args, f"params{suffix}"), f"--params{suffix}")
     if (path is None) == (family is None):
-        raise _UsageError(f"exactly one of {flag} is required")
+        raise _UsageError(f"exactly one of --input{suffix}/--family{suffix} is required")
     if path is not None:
+        # a family's flags would be silently ignored
+        for flag, given in (("params", params), ("seed", seed is not None)):
+            if given:
+                raise _UsageError(f"--{flag}{suffix} does not apply to --input{suffix}")
         # parse_graph reads the file in pieces, so a read error or bad UTF-8
         # can surface anywhere in it
         try:

@@ -27,9 +27,9 @@ parent's children are one run and parents finish in the order their runs
 end: the backward scan keeps sums only for the parents it has begun
 folding and not yet finished, never one entry per position.  The
 block-graph engine roots its cut tree into the same kind of positions
-(see blockdp.CutTree) and runs the same two scans; a block position adds
-its own three states, and a tree is the case with no block
-positions.
+(see blockdp.CutTree), where each position holds the vertex it adds to
+a witness as a tree position does, and runs the same two scans; a block
+position adds its own three states, and a tree is the case with none.
 """
 
 from __future__ import annotations
@@ -151,21 +151,21 @@ def solve_tree(tree: RootedTree, objective: str) -> CoverSolution:
     deterministic.
     """
     return _solve_positions(
-        tree.graph, objective, tree.order, tree.up, tree.degree, bytes(len(tree.order)), ()
+        tree.graph, objective, tree.order, tree.up, tree.degree, bytes(len(tree.order))
     )
 
 
-def _solve_positions(g, objective, order, up, degree, is_block, noncut) -> CoverSolution:
+def _solve_positions(g, objective, order, up, degree, is_block) -> CoverSolution:
     """Both engines' DP: two flat scans over breadth-first positions.
 
-    Position 0 is the root and up[c] < c is the parent of position c.  A
-    vertex position holds vertex order[c] of degree degree[c], with the tree
-    states IN, OUT_DOM, OUT_FREE as 0, 1, 2.  A block position (is_block[c])
-    holds block order[c]; degree[c] is the degree of its non-cut members,
-    noncut[order[c]] lists them, and its states are (see blockdp)
-    SELECTED, NONE_SAT, NONE_PENDING as 0, 1, 2.  A vertex folds its
-    children by the tree rules whatever they are, so a cut vertex is a tree
-    vertex whose children are blocks.
+    Position 0 is the root and up[c] < c is the parent of position c.
+    Position c adds vertex order[c], of degree degree[c], to the witness
+    when it is selected, or none when order[c] is -1.  A vertex position
+    has the tree states IN, OUT_DOM, OUT_FREE as 0, 1, 2, and a block
+    position (is_block[c]) SELECTED, NONE_SAT, NONE_PENDING (see blockdp),
+    where option A selects its own vertex and exists when order[c] >= 0.
+    A vertex folds its children by the tree rules whatever they are, so a
+    cut vertex is a tree vertex whose children are blocks.
 
     The backward scan finishes each position's three keys from its
     children's sums and its own selection cost, and folds them into its
@@ -193,7 +193,7 @@ def _solve_positions(g, objective, order, up, degree, is_block, noncut) -> Cover
     n = len(up)
     ch0 = bytearray(n)  # the position's state when its parent is in state 0
     ch1 = bytearray(n)  # its state under a vertex parent in 1, or a block parent in 2
-    # 1 for a block, 2 for a SELECTED block that selects a non-cut member
+    # 1 for a block, 2 for a SELECTED block that selects its own vertex
     kind = bytearray(is_block)
     # the parent taking folds: its position, kind and sums over the children
     # folded so far
@@ -233,11 +233,12 @@ def _solve_positions(g, objective, order, up, degree, is_block, noncut) -> Cover
                 r0[x] = r1[x] = r2[x] = rb[x] = 0
                 rs[x] = None
         if kc:
-            # SELECTED by option B selects no non-cut member but forces a cut
+            # SELECTED by option B selects no vertex of its own but forces
+            # a child
             i = s0 + sb
-            if noncut[order[c]]:
-                # option A selects one non-cut member, and NONE_SAT would
-                # leave it undominated
+            if order[c] >= 0:
+                # option A selects the block's own vertex, and NONE_SAT would
+                # leave that vertex undominated
                 own = s0 + scale + sign * dc
                 d = inf
                 if own <= i:
@@ -328,9 +329,7 @@ def _solve_positions(g, objective, order, up, degree, is_block, noncut) -> Cover
             else:
                 # OUT_DOM passes ch1; OUT_FREE needs every child dominated
                 state[c] = ch1[c] if s == 1 else 1
-    selected = [
-        noncut[x][0] if k else x for x, s, k in zip(order, state, kind) if s == 0 and k != 1
-    ]
+    selected = [x for x, s, k in zip(order, state, kind) if s == 0 and k != 1]
     return _decode(objective, root_key, scale, selected)
 
 

@@ -252,6 +252,35 @@ class TestErrorExits:
         )
         assert code == 64 and "exactly one" in err
 
+    def test_family_flags_with_input_exit_64(self, capsys, tmp_path):
+        f = tmp_path / "g.txt"
+        f.write_text("3 2\n0 1\n1 2\n")
+        for extra in (["--params", "n=9", "--seed", "4"], ["--params", "n=9"], ["--seed", "4"]):
+            code, out, err = run_cli(capsys, "gamma", "--input", str(f), *extra)
+            assert (code, out) == (64, "") and f"{extra[0]} does not apply to --input" in err
+        code, out, err = run_cli(
+            capsys, "product", "--familyG", "path", "--paramsG", "n=3",
+            "--inputH", str(f), "--seedH", "1",
+        )
+        assert (code, out) == (64, "") and "--seedH does not apply to --inputH" in err
+
+    def test_param_given_twice_exits_64(self, capsys):
+        for argv in (
+            ["gamma", "--family", "path", "--params", "n=3", "n=30"],
+            ["gamma", "--family", "path", "--params", "n=3", "--params", "n=30"],
+            ["validate-product", "--familyG", "path", "--paramsG", "n=3", "n=4",
+             "--familyH", "path", "--paramsH", "n=2"],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (64, "") and "gives 'n' more than once" in err
+            assert ("--paramsG" in err) == ("--paramsG" in argv)
+
+    def test_params_flags_merge(self, capsys):
+        seeded = ("block", "--family", "random_block_graph", "--seed", "3")
+        one = run_cli(capsys, *seeded, "--params", "n=20", "max_clique=3")
+        two = run_cli(capsys, *seeded, "--params", "n=20", "--params", "max_clique=3")
+        assert one[0] == 0 and one[1] == two[1]
+
     def test_unknown_flag_prints_usage(self, capsys):
         _, _, err = run_cli(capsys, "cover", "--family", "path", "--params", "n=3", "--frob")
         assert "usage" in err.lower()
